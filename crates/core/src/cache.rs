@@ -1,9 +1,10 @@
 //! Device cache: preprocessed router state keyed by content fingerprints.
 //!
 //! [`SabreRouter::new`] pays the paper's §IV-A preprocessing — a
-//! connectivity check plus two `O(N³)` Floyd–Warshall closures — on every
-//! call, and the perfect-placement probe re-burns its backtracking budget
-//! on every `route()` of a circuit it has already judged. Both costs are
+//! connectivity check plus the distance fill (`N` Dijkstra sweeps on a
+//! dense device) — on every call, and the perfect-placement probe
+//! re-burns its backtracking budget on every `route()` of a circuit it
+//! has already judged. Both costs are
 //! per-*device* (respectively per-*interaction-graph*), not per-call, so a
 //! service routing heavy traffic against a handful of hot devices should
 //! pay them once. [`DeviceCache`] is that layer:
@@ -12,12 +13,12 @@
 //!   [`DeviceCache::router_with_noise`]): preprocessed state is cached
 //!   under [`CouplingGraph::fingerprint`] (and
 //!   [`NoiseModel::fingerprint`] for the weighted matrix); a warm hit
-//!   skips Floyd–Warshall entirely and hands out a router sharing the
+//!   skips the distance fill entirely and hands out a router sharing the
 //!   cached matrices via `Arc`.
 //! - **Calibration refresh** ([`DeviceCache::refresh_noise`]): when a
 //!   device's daily calibration lands, only the noise-weighted matrix is
 //!   recomputed — the coupling graph, connectivity verdict, and hop
-//!   matrices are reused.
+//!   matrix are reused.
 //! - **Embedding verdicts** ([`EmbeddingVerdictCache`]): the probe's
 //!   `Found`/`Impossible`/budget-exhausted outcome is cached per
 //!   `(device, interaction graph, budget)`, so a non-embeddable circuit's
@@ -45,11 +46,11 @@
 //! let cache = DeviceCache::new();
 //! let tokyo = devices::ibm_q20_tokyo();
 //!
-//! // Cold: runs the O(N³) preprocessing and caches it.
+//! // Cold: runs the distance preprocessing and caches it.
 //! let router = cache.router(tokyo.graph(), SabreConfig::paper())?;
 //! let first = router.route(&qft::qft(5))?;
 //!
-//! // Warm: no Floyd–Warshall, just Arc clones of the cached matrices.
+//! // Warm: no distance fill, just Arc clones of the cached state.
 //! let router = cache.router(tokyo.graph(), SabreConfig::paper())?;
 //! let second = router.route(&qft::qft(5))?;
 //! assert_eq!(first.best, second.best);
@@ -65,7 +66,7 @@ use std::sync::{Arc, RwLock};
 use sabre_circuit::interaction::InteractionGraph;
 use sabre_topology::embedding::{self, Embedding};
 use sabre_topology::noise::NoiseModel;
-use sabre_topology::{CouplingGraph, DistanceMatrix, Qubit, WeightedDistanceMatrix};
+use sabre_topology::{CouplingGraph, Qubit, WeightedDistanceMatrix};
 
 use crate::plan::PlanCache;
 use crate::sabre::noise_cost_matrix;
@@ -77,7 +78,6 @@ use crate::{RouteError, SabreConfig, SabreRouter};
 #[derive(Debug)]
 struct GraphEntry {
     graph: Arc<CouplingGraph>,
-    dist: Arc<DistanceMatrix>,
     hops: Arc<WeightedDistanceMatrix>,
     /// Noise-weighted matrices keyed by [`NoiseModel::fingerprint`]; the
     /// model is stored alongside for collision verification.
@@ -93,11 +93,9 @@ impl GraphEntry {
     /// never drift from the uncached preprocessing — whatever `new`
     /// computes is, by construction, what a miss caches.
     fn build(graph: &CouplingGraph) -> Result<Self, RouteError> {
-        let (graph, dist, hops) =
-            SabreRouter::new(graph.clone(), SabreConfig::default())?.into_parts();
+        let (graph, hops) = SabreRouter::new(graph.clone(), SabreConfig::default())?.into_parts();
         Ok(GraphEntry {
             graph,
-            dist,
             hops,
             weighted: RwLock::new(HashMap::new()),
             noise_epoch: AtomicU64::new(0),
@@ -111,7 +109,7 @@ impl GraphEntry {
 pub struct DeviceCacheStats {
     /// Router acquisitions served from a cached graph entry.
     pub graph_hits: u64,
-    /// Acquisitions that had to run connectivity + Floyd–Warshall.
+    /// Acquisitions that had to run connectivity + the distance fill.
     pub graph_misses: u64,
     /// Noise-weighted matrix lookups served from cache.
     pub noise_hits: u64,
@@ -177,7 +175,7 @@ impl DeviceCache {
     /// preprocessing when this device (by content, not identity) has been
     /// seen before. Behaves exactly like [`SabreRouter::new`] — including
     /// its errors — but a warm acquisition is `O(E)` (fingerprint +
-    /// structural verification) instead of `O(N³)`.
+    /// structural verification) instead of the full preprocessing.
     ///
     /// # Errors
     ///
@@ -193,7 +191,6 @@ impl DeviceCache {
         let entry = self.entry(graph)?;
         Ok(SabreRouter::from_parts(
             entry.graph.clone(),
-            entry.dist.clone(),
             entry.hops.clone(),
             config,
             Some(self.verdicts.clone()),
@@ -222,7 +219,6 @@ impl DeviceCache {
         let cost = self.weighted_matrix(&entry, noise);
         Ok(SabreRouter::from_parts(
             entry.graph.clone(),
-            entry.dist.clone(),
             cost,
             config,
             Some(self.verdicts.clone()),
@@ -230,8 +226,9 @@ impl DeviceCache {
     }
 
     /// Ingests a fresh calibration for `graph`: recomputes **only** the
-    /// noise-weighted matrix (one weighted Floyd–Warshall), reusing the
-    /// cached connectivity verdict, hop matrices, and embedding verdicts.
+    /// noise-weighted matrix (one Dijkstra fill, or a fresh sparse
+    /// engine), reusing the cached connectivity verdict, hop matrix, and
+    /// embedding verdicts.
     /// Matrices for superseded calibrations are dropped so a long-running
     /// service's memory tracks the number of hot devices, not the number
     /// of calibration epochs.

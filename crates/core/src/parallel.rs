@@ -25,8 +25,7 @@
 //! # Sharing
 //!
 //! Workers borrow the router (`&self`) across `rayon`'s scoped threads:
-//! one `DistanceMatrix`/`WeightedDistanceMatrix` serves every trial with
-//! zero copies or locks.
+//! one `WeightedDistanceMatrix` serves every trial with zero copies.
 
 use std::time::Instant;
 

@@ -7,9 +7,7 @@ use sabre_circuit::interaction::InteractionGraph;
 use sabre_circuit::Circuit;
 use sabre_topology::embedding::{self, Embedding};
 use sabre_topology::noise::NoiseModel;
-use sabre_topology::{
-    CouplingGraph, DistanceBackend, DistanceMatrix, Qubit, WeightedDistanceMatrix,
-};
+use sabre_topology::{CouplingGraph, DistanceBackend, Qubit, WeightedDistanceMatrix};
 
 use sabre_circuit::DependencyDag;
 
@@ -94,7 +92,6 @@ pub struct SabreRouter {
     // `DeviceCache` (and `Clone`d routers generally) share one distance
     // matrix instead of copying `O(N²)` floats.
     graph: Arc<CouplingGraph>,
-    dist: Arc<DistanceMatrix>,
     cost: Arc<WeightedDistanceMatrix>,
     config: SabreConfig,
     /// Shared embedding-verdict store for the perfect-placement probe;
@@ -117,7 +114,7 @@ impl SabreRouter {
 
     /// Like [`SabreRouter::new`] but with an explicit distance-engine
     /// choice instead of the size-based auto policy. `DistanceBackend::
-    /// Dense` forces the `O(N²)` all-pairs matrices regardless of device
+    /// Dense` forces the `O(N²)` all-pairs matrix regardless of device
     /// size; `DistanceBackend::Sparse` forces the on-demand row engine
     /// even on small devices. Routing output is bit-identical either way
     /// (the equivalence suite pins this); the choice only trades memory
@@ -137,7 +134,6 @@ impl SabreRouter {
         if !graph.is_connected() {
             return Err(RouteError::DisconnectedDevice);
         }
-        let dist = Arc::new(DistanceMatrix::with_backend(&graph, backend));
         let cost = Arc::new(WeightedDistanceMatrix::with_backend(
             &graph,
             |_, _| 1.0,
@@ -145,7 +141,6 @@ impl SabreRouter {
         ));
         Ok(SabreRouter {
             graph: Arc::new(graph),
-            dist,
             cost,
             config,
             verdicts: None,
@@ -153,19 +148,17 @@ impl SabreRouter {
     }
 
     /// Assembles a router from preprocessed parts — the warm path of
-    /// [`crate::DeviceCache`]: no connectivity check, no Floyd–Warshall,
-    /// just `Arc` clones. The caller guarantees the parts belong together
-    /// and that `config` already validated.
+    /// [`crate::DeviceCache`]: no connectivity check, no distance
+    /// preprocessing, just `Arc` clones. The caller guarantees the parts
+    /// belong together and that `config` already validated.
     pub(crate) fn from_parts(
         graph: Arc<CouplingGraph>,
-        dist: Arc<DistanceMatrix>,
         cost: Arc<WeightedDistanceMatrix>,
         config: SabreConfig,
         verdicts: Option<Arc<EmbeddingVerdictCache>>,
     ) -> Self {
         SabreRouter {
             graph,
-            dist,
             cost,
             config,
             verdicts,
@@ -244,14 +237,8 @@ impl SabreRouter {
     /// Decomposes the router into its shared preprocessing — the single
     /// source of truth the [`crate::DeviceCache`] stores, so the cache's
     /// cold path can never drift from [`SabreRouter::new`].
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        Arc<CouplingGraph>,
-        Arc<DistanceMatrix>,
-        Arc<WeightedDistanceMatrix>,
-    ) {
-        (self.graph, self.dist, self.cost)
+    pub(crate) fn into_parts(self) -> (Arc<CouplingGraph>, Arc<WeightedDistanceMatrix>) {
+        (self.graph, self.cost)
     }
 
     /// The device coupling graph.
@@ -259,9 +246,10 @@ impl SabreRouter {
         &self.graph
     }
 
-    /// The precomputed distance matrix `D`.
-    pub fn distance_matrix(&self) -> &DistanceMatrix {
-        &self.dist
+    /// The precomputed distance matrix `D` the router routes on: hop
+    /// counts, or noise-weighted costs for a noise-aware router.
+    pub fn distance_matrix(&self) -> &WeightedDistanceMatrix {
+        &self.cost
     }
 
     /// The active configuration.
@@ -567,7 +555,7 @@ impl SabreRouter {
 /// `with_edge_error(…, 0.0)` after a calibration snapshot) and makes
 /// `swap_cost = -3·ln(1-0) = 0`. Without a floor the normalization divisor
 /// collapses to `f64::MIN_POSITIVE` and every other edge's normalized cost
-/// overflows to infinity, which the weighted Floyd–Warshall rejects.
+/// overflows to infinity, which the weighted constructors reject.
 /// Clamping each edge to this floor *before* normalizing keeps every cost
 /// finite while preserving the ordering between real couplers: `1e-9` is
 /// far below any physical error's cost (ε = 1e-6 already costs 3e-6).

@@ -46,13 +46,14 @@ use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 use sabre::{
-    transpile_batch_cached, DeviceCache, PlanQuality, SabreConfig, SabreResult, TranspileOptions,
+    transpile_batch_cached, DeviceCache, PlanQuality, SabreConfig, SabreResult, SabreRouter,
+    TranspileOptions,
 };
 use sabre_circuit::Circuit;
 use sabre_json::JsonValue;
 use sabre_shard::{route_sharded, Fleet, ShardConfig};
 use sabre_topology::noise::NoiseModel;
-use sabre_topology::{CouplingGraph, DistanceBackend};
+use sabre_topology::CouplingGraph;
 use sabre_trace::{SlowLog, Span, TraceRing};
 
 use crate::admission::{self, RateLimiter};
@@ -88,6 +89,26 @@ impl std::error::Error for ServeError {}
 struct RegisteredDevice {
     graph: Arc<CouplingGraph>,
     noise: Option<NoiseModel>,
+    /// The distance engine its router landed on, `"dense"` (all-pairs
+    /// matrix) or `"sparse"` (on-demand row engine), reported by
+    /// registration and listing responses alike.
+    distance: &'static str,
+}
+
+impl RegisteredDevice {
+    /// An uncalibrated device, with the engine read off the router that
+    /// registration warmed for it.
+    fn new(graph: CouplingGraph, router: &SabreRouter) -> Self {
+        RegisteredDevice {
+            graph: Arc::new(graph),
+            noise: None,
+            distance: if router.distance_matrix().is_sparse() {
+                "sparse"
+            } else {
+                "dense"
+            },
+        }
+    }
 }
 
 /// One admitted unit of work, tagged with the connection it answers.
@@ -293,7 +314,8 @@ impl ServerHandle {
         if id.is_empty() || id.contains('/') || id.len() > 128 {
             return Err("device id must be non-empty, without `/`, ≤128 chars".into());
         }
-        self.service
+        let router = self
+            .service
             .cache
             .router(graph, self.service.config.default_config)
             .map_err(|e| e.to_string())?;
@@ -303,10 +325,7 @@ impl ServerHandle {
             .expect("device registry poisoned")
             .insert(
                 id.to_string(),
-                RegisteredDevice {
-                    graph: Arc::new(graph.clone()),
-                    noise: None,
-                },
+                RegisteredDevice::new(graph.clone(), &router),
             );
         Ok(())
     }
@@ -552,18 +571,6 @@ fn healthz(service: &RoutingService) -> Response {
     )
 }
 
-/// Which distance engine the auto policy selects for `graph` —
-/// `"dense"` (all-pairs matrices) or `"sparse"` (on-demand row engine).
-/// Purely a function of device size; mirrored in registration responses
-/// so clients can see the memory mode a device landed on.
-fn distance_engine_name(graph: &CouplingGraph) -> &'static str {
-    if DistanceBackend::Auto.prefers_sparse(graph.num_qubits()) {
-        "sparse"
-    } else {
-        "dense"
-    }
-}
-
 fn list_devices(service: &RoutingService) -> Response {
     let devices = service.devices.read().expect("device registry poisoned");
     let mut entries: Vec<(&String, &RegisteredDevice)> = devices.iter().collect();
@@ -580,7 +587,7 @@ fn list_devices(service: &RoutingService) -> Response {
                         ("num_qubits", device.graph.num_qubits().into()),
                         ("num_edges", device.graph.num_edges().into()),
                         ("noise_aware", device.noise.is_some().into()),
-                        ("distance", distance_engine_name(&device.graph).into()),
+                        ("distance", device.distance.into()),
                     ])
                 })
                 .collect(),
@@ -604,20 +611,12 @@ fn register_device(service: &RoutingService, request: &Request) -> Response {
         Ok(router) => router,
         Err(e) => return Response::error(400, &format!("device rejected: {e}")),
     };
-    let distance = if router.distance_matrix().is_sparse() {
-        "sparse"
-    } else {
-        "dense"
-    };
-    let entry = RegisteredDevice {
-        graph: Arc::new(graph),
-        noise: None,
-    };
+    let entry = RegisteredDevice::new(graph, &router);
     let body = JsonValue::object([
         ("id", id.as_str().into()),
         ("num_qubits", entry.graph.num_qubits().into()),
         ("num_edges", entry.graph.num_edges().into()),
-        ("distance", distance.into()),
+        ("distance", entry.distance.into()),
     ]);
     let replaced = service
         .devices

@@ -5,36 +5,32 @@
 //! "acceptable for NISQ devices with hundreds of qubits" (§IV-A). At the
 //! 1000+ qubit grids and heavy-hex lattices a production service quotes,
 //! the `O(N²)` matrix (and the `O(N³)` fill) stops being acceptable — so
-//! [`DistanceMatrix`] and [`WeightedDistanceMatrix`] are now *policies*
-//! over two interchangeable backends:
+//! one generic row store, [`Distances`], serves both value types
+//! ([`DistanceMatrix`] hop counts and [`WeightedDistanceMatrix`] costs)
+//! from one of two interchangeable storages:
 //!
 //! - **Dense** (`N ≤` [`DENSE_DISTANCE_THRESHOLD`]): the classic
 //!   row-major `N × N` array. `O(N²)` memory, `O(1)` loads, rows are
-//!   plain borrowed slices. Construction is Floyd–Warshall (`O(N³)`),
-//!   `N` BFS sweeps (`O(N·E)`), or `N` Dijkstra runs
-//!   (`O(N·E·log N)`), depending on the constructor.
+//!   plain borrowed slices, filled eagerly by `N` row sweeps.
 //! - **Sparse** (above the threshold): no matrix at all. Each requested
 //!   row is computed on demand — BFS for hop counts, binary-heap
 //!   Dijkstra for weighted costs, `O(E + N log N)` per row — and kept in
 //!   a bounded LRU cache ([`ROW_CACHE_CAPACITY`] rows), so memory stays
 //!   `O(E + capacity·N)` — flat in the number of *pairs* — while a
 //!   router's hot loop (which revisits a small working set of front-layer
-//!   rows) still sees `O(1)`-amortized loads. The weighted backend also
-//!   carries a [`LandmarkOracle`] for `O(k)` distance bounds without any
-//!   row computation.
+//!   rows) still sees `O(1)`-amortized loads.
 //!
-//! Both backends produce **bit-identical values**: the sparse engine's
-//! per-source sweeps are the same algorithms the dense
-//! [`DistanceMatrix::bfs`] / [`WeightedDistanceMatrix::dijkstra`]
-//! constructors run eagerly, so a row is the same `Vec` either way, and
-//! routing on top of them is reproducible across backends. The
-//! [`DistanceMatrix::auto`] / [`WeightedDistanceMatrix::auto`]
-//! constructors pick the backend by device size; everything downstream
-//! (router, cache, service) goes through them.
+//! Both storages produce **bit-identical values**: the dense fill and the
+//! sparse engine call the same per-source row producer, so a row is the
+//! same `Vec` either way, and routing on top of them is reproducible
+//! across backends. The `auto` constructors pick the storage by device
+//! size; everything downstream (router, cache, service) goes through
+//! them. Floyd–Warshall survives only as the reference the row producers
+//! are tested against.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
-use std::ops::Deref;
+use std::ops::{Add, Deref};
 use std::sync::{Arc, Mutex};
 
 use crate::{CouplingGraph, Qubit};
@@ -43,13 +39,12 @@ use crate::{CouplingGraph, Qubit};
 /// [`DistanceMatrix::auto`] / [`WeightedDistanceMatrix::auto`] policies;
 /// larger devices get the sparse on-demand engine.
 ///
-/// At 128 qubits the dense pair (`u32` hops + `f64` costs) costs
-/// ~196 KiB and fills in well under a millisecond — comfortably the
-/// faster choice, with zero per-lookup overhead. At 1089 qubits
-/// (grid 33×33) the dense pair is ~14 MiB filled by an `O(N³)` sweep,
-/// and at 10⁴ qubits it is ~1.2 GiB — the regime the sparse engine
-/// exists for. Callers that want to force a backend regardless of size
-/// use [`DistanceBackend`] with the `with_backend` constructors.
+/// At 128 qubits a dense `f64` matrix costs ~128 KiB and fills in well
+/// under a millisecond — comfortably the faster choice, with zero
+/// per-lookup overhead. At 1089 qubits (grid 33×33) it is ~9 MiB, and at
+/// 10⁴ qubits ~760 MiB — the regime the sparse engine exists for.
+/// Callers that want to force a backend regardless of size use
+/// [`DistanceBackend`] with the `with_backend` constructors.
 pub const DENSE_DISTANCE_THRESHOLD: u32 = 128;
 
 /// Rows held by a sparse engine's LRU cache. Bounds sparse-backend
@@ -94,7 +89,7 @@ impl DistanceBackend {
 }
 
 /// One distance row `D[a][·]`, indexed by physical qubit — the return
-/// type of [`DistanceMatrix::row`] and [`WeightedDistanceMatrix::row`].
+/// type of [`Distances::row`].
 ///
 /// Dereferences to `&[T]`, so `row[q.index()]`, `row.iter()`, and every
 /// other slice operation work unchanged whichever backend produced it.
@@ -124,22 +119,6 @@ impl<T> Deref for DistanceRow<'_, T> {
         match &self.repr {
             RowRepr::Borrowed(slice) => slice,
             RowRepr::Shared(arc) => arc,
-        }
-    }
-}
-
-impl<'a, T> DistanceRow<'a, T> {
-    #[inline]
-    fn borrowed(slice: &'a [T]) -> Self {
-        DistanceRow {
-            repr: RowRepr::Borrowed(slice),
-        }
-    }
-
-    #[inline]
-    fn shared(arc: Arc<[T]>) -> Self {
-        DistanceRow {
-            repr: RowRepr::Shared(arc),
         }
     }
 }
@@ -186,43 +165,56 @@ impl<T> RowCache<T> {
         self.rows.insert(source, (tick, Arc::clone(&row)));
         row
     }
+}
 
-    fn len(&self) -> usize {
-        self.rows.len()
+/// A value type a [`Distances`] store can hold: it supplies its row
+/// producer and its unreachable sentinel; everything else is shared.
+/// Implemented for `u32` (hop counts, BFS rows) and `f64` (weighted
+/// costs, Dijkstra rows) only; not exported, so no other type can.
+pub trait DistanceValue:
+    Copy + Default + PartialOrd + Add<Output = Self> + fmt::Debug + 'static
+{
+    /// Marks an unreachable pair.
+    const UNREACHABLE: Self;
+
+    /// What a row sweep needs besides the graph: nothing for hop counts,
+    /// the packed per-edge weights for costs.
+    type Weights: Clone + fmt::Debug;
+
+    /// All distances from `source`, indexed by physical qubit.
+    fn row(graph: &CouplingGraph, weights: &Self::Weights, source: Qubit) -> Vec<Self>;
+
+    /// `source`'s row through the sparse engine's LRU. Each value type
+    /// forwards to the one generic fetch, so that fetch is compiled in
+    /// this crate rather than inside the router's: routing on a
+    /// 1089-qubit grid measured ~4% slower with the latter.
+    fn cached_row(engine: &SparseRows<Self>, source: Qubit) -> Arc<[Self]>;
+}
+
+impl DistanceValue for u32 {
+    const UNREACHABLE: u32 = u32::MAX;
+    type Weights = ();
+
+    fn row(graph: &CouplingGraph, _: &(), source: Qubit) -> Vec<u32> {
+        graph.bfs_distances(source)
+    }
+
+    fn cached_row(engine: &SparseRows<u32>, source: Qubit) -> Arc<[u32]> {
+        engine.fetch(source)
     }
 }
 
-/// The sparse hop-count engine: the coupling graph plus an LRU of BFS
-/// rows. `O(N + E)` resident, `O(E)` per row miss.
-#[derive(Debug)]
-struct SparseHops {
-    graph: CouplingGraph,
-    cache: Mutex<RowCache<u32>>,
-}
-
-impl SparseHops {
-    fn row(&self, a: Qubit) -> Arc<[u32]> {
-        let mut cache = self.cache.lock().expect("row cache poisoned");
-        cache.fetch(a.0, || self.graph.bfs_distances(a))
-    }
-}
-
-/// The sparse weighted engine: graph, per-edge weights (indexed by dense
-/// edge id), an LRU of Dijkstra rows, and a landmark oracle for `O(k)`
-/// bounds. `O(N + E + k·N)` resident, `O(E + N log N)` per row miss.
-#[derive(Debug)]
-struct SparseWeighted {
-    graph: CouplingGraph,
+impl DistanceValue for f64 {
+    const UNREACHABLE: f64 = f64::INFINITY;
     /// Weight of each coupling, indexed by [`CouplingGraph::edge_index`].
-    edge_weights: Arc<[f64]>,
-    cache: Mutex<RowCache<f64>>,
-    oracle: LandmarkOracle,
-}
+    type Weights = Arc<[f64]>;
 
-impl SparseWeighted {
-    fn row(&self, a: Qubit) -> Arc<[f64]> {
-        let mut cache = self.cache.lock().expect("row cache poisoned");
-        cache.fetch(a.0, || dijkstra_row(&self.graph, &self.edge_weights, a))
+    fn row(graph: &CouplingGraph, weights: &Arc<[f64]>, source: Qubit) -> Vec<f64> {
+        dijkstra_row(graph, weights, source)
+    }
+
+    fn cached_row(engine: &SparseRows<f64>, source: Qubit) -> Arc<[f64]> {
+        engine.fetch(source)
     }
 }
 
@@ -255,11 +247,9 @@ impl Ord for HeapEntry {
     }
 }
 
-/// One Dijkstra sweep from `source` over per-edge weights: the single
-/// row-producing algorithm shared by the sparse weighted engine, the
-/// dense [`WeightedDistanceMatrix::dijkstra`] constructor, and the
-/// [`LandmarkOracle`] — one implementation, so every path yields
-/// bit-identical rows. `O(E + N log N)` with a binary heap.
+/// One Dijkstra sweep from `source` over per-edge weights: the `f64` row
+/// producer, so the dense fill and the sparse engine yield bit-identical
+/// rows. `O(E + N log N)` with a binary heap.
 fn dijkstra_row(graph: &CouplingGraph, edge_weights: &[f64], source: Qubit) -> Vec<f64> {
     let n = graph.num_qubits() as usize;
     let mut dist = vec![f64::INFINITY; n];
@@ -293,12 +283,11 @@ fn dijkstra_row(graph: &CouplingGraph, edge_weights: &[f64], source: Qubit) -> V
 }
 
 /// Evaluates, validates, and packs a weight closure into the per-edge-id
-/// array the Dijkstra machinery consumes.
+/// array the weighted constructors consume.
 ///
 /// # Panics
 ///
-/// Panics if a weight is negative or non-finite (same contract as
-/// [`WeightedDistanceMatrix::floyd_warshall`]).
+/// Panics if a weight is negative or non-finite.
 fn pack_edge_weights<F>(graph: &CouplingGraph, mut weight: F) -> Vec<f64>
 where
     F: FnMut(Qubit, Qubit) -> f64,
@@ -317,17 +306,205 @@ where
         .collect()
 }
 
+/// All-pairs shortest-path distances over a device, generic in the value
+/// type: [`DistanceMatrix`] (`u32` hops) and [`WeightedDistanceMatrix`]
+/// (`f64` costs) are its two instantiations.
+///
+/// Small devices store the dense row-major matrix, large ones answer
+/// from the sparse on-demand engine (see the module docs). Values are
+/// identical either way; the `auto` constructors pick for you.
+#[derive(Debug)]
+pub struct Distances<T: DistanceValue> {
+    n: usize,
+    store: Store<T>,
+}
+
+#[derive(Debug)]
+enum Store<T: DistanceValue> {
+    /// Row-major `n × n`; `T::UNREACHABLE` marks unreachable pairs.
+    Dense(Vec<T>),
+    /// Boxed so `&Distances` holds no interior mutability inline: the
+    /// compiler then knows a sparse row fetch cannot change the variant,
+    /// and keeps the scorer's running sums in registers across it.
+    Sparse(Box<SparseRows<T>>),
+}
+
+/// The on-demand engine: the graph and weights a row sweep needs, plus
+/// an LRU of the rows computed so far. `O(N + E)` resident. Public only
+/// so [`DistanceValue::cached_row`] can name it; not exported.
+#[derive(Debug)]
+pub struct SparseRows<T: DistanceValue> {
+    graph: CouplingGraph,
+    weights: T::Weights,
+    cache: Mutex<RowCache<T>>,
+}
+
+impl<T: DistanceValue> SparseRows<T> {
+    fn new(graph: CouplingGraph, weights: T::Weights) -> Box<Self> {
+        Box::new(SparseRows {
+            graph,
+            weights,
+            cache: Mutex::new(RowCache::new()),
+        })
+    }
+
+    fn fetch(&self, a: Qubit) -> Arc<[T]> {
+        let mut cache = self.cache.lock().expect("row cache poisoned");
+        cache.fetch(a.0, || T::row(&self.graph, &self.weights, a))
+    }
+}
+
+impl<T: DistanceValue> Distances<T> {
+    /// The one constructor behind every production path: the dense fill
+    /// (`N` row sweeps) or the empty sparse engine, chosen by `backend`.
+    fn build(graph: &CouplingGraph, weights: T::Weights, backend: DistanceBackend) -> Self {
+        let n = graph.num_qubits() as usize;
+        let store = if backend.prefers_sparse(graph.num_qubits()) {
+            Store::Sparse(SparseRows::new(graph.clone(), weights))
+        } else {
+            let mut data = Vec::with_capacity(n * n);
+            for q in 0..n {
+                data.extend_from_slice(&T::row(graph, &weights, Qubit(q as u32)));
+            }
+            Store::Dense(data)
+        };
+        Distances { n, store }
+    }
+
+    /// Dense Floyd–Warshall closure over the coupling values `edges`
+    /// (one per [`CouplingGraph::edges`] entry, in order), exactly as
+    /// the paper prescribes in §IV-A. `O(N³)` time, `O(N²)` memory: the
+    /// reference the row producers are tested against.
+    fn floyd_warshall_over(graph: &CouplingGraph, edges: impl IntoIterator<Item = T>) -> Self {
+        let n = graph.num_qubits() as usize;
+        let mut data = vec![T::UNREACHABLE; n * n];
+        for i in 0..n {
+            data[i * n + i] = T::default();
+        }
+        for (&(a, b), w) in graph.edges().iter().zip(edges) {
+            data[a.index() * n + b.index()] = w;
+            data[b.index() * n + a.index()] = w;
+        }
+        for k in 0..n {
+            for i in 0..n {
+                let dik = data[i * n + k];
+                if dik == T::UNREACHABLE {
+                    continue;
+                }
+                for j in 0..n {
+                    let dkj = data[k * n + j];
+                    if dkj == T::UNREACHABLE {
+                        continue;
+                    }
+                    let through_k = dik + dkj;
+                    if through_k < data[i * n + j] {
+                        data[i * n + j] = through_k;
+                    }
+                }
+            }
+        }
+        Distances {
+            n,
+            store: Store::Dense(data),
+        }
+    }
+
+    /// `true` when this matrix answers from the sparse on-demand engine
+    /// (no `O(N²)` allocation exists).
+    pub fn is_sparse(&self) -> bool {
+        matches!(self.store, Store::Sparse(_))
+    }
+
+    /// Number of qubits the matrix covers.
+    pub fn num_qubits(&self) -> usize {
+        self.n
+    }
+
+    /// The distance `D[a][b]` (`UNREACHABLE` when no path exists), read
+    /// through [`Distances::row`]. Dense: one indexed load. Sparse: a row
+    /// fetch (`O(1)` amortized on the LRU, one sweep on a miss) plus a
+    /// load.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range, on either backend.
+    #[inline]
+    pub fn get(&self, a: Qubit, b: Qubit) -> T {
+        self.row(a)[b.index()]
+    }
+
+    /// Row `D[a][·]` indexed by physical qubit — the hot-path view: the
+    /// router's delta scorer resolves every candidate SWAP against one or
+    /// two rows, so a row handle turns the inner loop into contiguous
+    /// indexed loads. Dense rows are zero-copy borrows; sparse rows are
+    /// shared handles served from the LRU (`O(1)` amortized, one sweep
+    /// on a cold source).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is out of range.
+    #[inline]
+    pub fn row(&self, a: Qubit) -> DistanceRow<'_, T> {
+        let repr = match &self.store {
+            Store::Dense(data) => {
+                RowRepr::Borrowed(&data[a.index() * self.n..(a.index() + 1) * self.n])
+            }
+            Store::Sparse(engine) => RowRepr::Shared(T::cached_row(engine, a)),
+        };
+        DistanceRow { repr }
+    }
+
+    /// Rows currently resident in the sparse engine's LRU (always `0` for
+    /// dense backends) — observability for memory-ceiling tests; never
+    /// exceeds [`ROW_CACHE_CAPACITY`].
+    pub fn cached_rows(&self) -> usize {
+        match &self.store {
+            Store::Dense(_) => 0,
+            Store::Sparse(engine) => engine.cache.lock().expect("row cache poisoned").rows.len(),
+        }
+    }
+}
+
+impl<T: DistanceValue> Clone for Distances<T> {
+    /// Cloning a sparse matrix clones the graph and weights and starts an
+    /// empty row cache — cache state is pure acceleration, so the clone
+    /// observes identical values from the first query.
+    fn clone(&self) -> Self {
+        let store = match &self.store {
+            Store::Dense(data) => Store::Dense(data.clone()),
+            Store::Sparse(engine) => Store::Sparse(SparseRows::new(
+                engine.graph.clone(),
+                engine.weights.clone(),
+            )),
+        };
+        Distances { n: self.n, store }
+    }
+}
+
+impl<T: DistanceValue> PartialEq for Distances<T> {
+    /// Semantic equality: same size and same distance for every pair,
+    /// regardless of backend. Comparing a sparse matrix materializes its
+    /// rows (`O(N·E)`) — intended for tests, not hot paths.
+    fn eq(&self, other: &Self) -> bool {
+        if self.n != other.n {
+            return false;
+        }
+        match (&self.store, &other.store) {
+            (Store::Dense(a), Store::Dense(b)) => a == b,
+            _ => (0..self.n).all(|q| {
+                let q = Qubit(q as u32);
+                *self.row(q) == *other.row(q)
+            }),
+        }
+    }
+}
+
 /// All-pairs shortest-path distances `D[][]` in SWAP hops (paper §IV-A).
 ///
 /// `D[i][j]` equals the number of SWAPs needed to make qubits sitting on
 /// `Q_i` and `Q_j` adjacent, plus one (the paper ignores the constant
 /// offset, §IV-D1, and so do we — only relative order matters to the
-/// heuristic).
-///
-/// Since the kilo-qubit work this is a *policy type*: small devices store
-/// the dense row-major matrix, large ones answer from the sparse
-/// on-demand engine (see the module docs). Values are identical
-/// either way; [`DistanceMatrix::auto`] picks for you.
+/// heuristic). Rows are BFS sweeps.
 ///
 /// # Example
 ///
@@ -340,22 +517,11 @@ where
 /// assert_eq!(d.get(Qubit(0), Qubit(3)), 3);
 /// assert_eq!(d.get(Qubit(2), Qubit(2)), 0);
 /// ```
-#[derive(Debug)]
-pub struct DistanceMatrix {
-    n: usize,
-    backend: HopBackend,
-}
-
-#[derive(Debug)]
-enum HopBackend {
-    /// Row-major `n × n`; `u32::MAX` marks unreachable pairs.
-    Dense(Vec<u32>),
-    Sparse(SparseHops),
-}
+pub type DistanceMatrix = Distances<u32>;
 
 impl DistanceMatrix {
     /// Sentinel for unreachable pairs.
-    pub const UNREACHABLE: u32 = u32::MAX;
+    pub const UNREACHABLE: u32 = <u32 as DistanceValue>::UNREACHABLE;
 
     /// Dense all-pairs matrix via Floyd–Warshall, exactly as the paper
     /// prescribes in §IV-A. `O(N³)` time, `O(N²)` memory — fine for the
@@ -363,54 +529,14 @@ impl DistanceMatrix {
     /// [`DistanceMatrix::auto`] unless you specifically want this
     /// algorithm.
     pub fn floyd_warshall(graph: &CouplingGraph) -> Self {
-        let n = graph.num_qubits() as usize;
-        let mut data = vec![Self::UNREACHABLE; n * n];
-        for i in 0..n {
-            data[i * n + i] = 0;
-        }
-        for &(a, b) in graph.edges() {
-            data[a.index() * n + b.index()] = 1;
-            data[b.index() * n + a.index()] = 1;
-        }
-        for k in 0..n {
-            for i in 0..n {
-                let dik = data[i * n + k];
-                if dik == Self::UNREACHABLE {
-                    continue;
-                }
-                for j in 0..n {
-                    let dkj = data[k * n + j];
-                    if dkj == Self::UNREACHABLE {
-                        continue;
-                    }
-                    let through_k = dik + dkj;
-                    if through_k < data[i * n + j] {
-                        data[i * n + j] = through_k;
-                    }
-                }
-            }
-        }
-        DistanceMatrix {
-            n,
-            backend: HopBackend::Dense(data),
-        }
+        Self::floyd_warshall_over(graph, std::iter::repeat(1))
     }
 
     /// Dense all-pairs matrix via `N` breadth-first searches, `O(N·E)`
-    /// time, `O(N²)` memory. Each row is exactly what the sparse engine
-    /// would compute on demand — this is the eager twin of
+    /// time, `O(N²)` memory — the eager twin of
     /// [`DistanceMatrix::sparse`].
     pub fn bfs(graph: &CouplingGraph) -> Self {
-        let n = graph.num_qubits() as usize;
-        let mut data = vec![Self::UNREACHABLE; n * n];
-        for i in 0..n {
-            let dist = graph.bfs_distances(Qubit(i as u32));
-            data[i * n..(i + 1) * n].copy_from_slice(&dist);
-        }
-        DistanceMatrix {
-            n,
-            backend: HopBackend::Dense(data),
-        }
+        Self::with_backend(graph, DistanceBackend::Dense)
     }
 
     /// The sparse on-demand engine: no matrix, rows BFS-computed per
@@ -418,20 +544,12 @@ impl DistanceMatrix {
     /// [`ROW_CACHE_CAPACITY`] cached rows; `O(E)` per row miss, `O(1)`
     /// per hit. Values are bit-identical to [`DistanceMatrix::bfs`].
     pub fn sparse(graph: &CouplingGraph) -> Self {
-        DistanceMatrix {
-            n: graph.num_qubits() as usize,
-            backend: HopBackend::Sparse(SparseHops {
-                graph: graph.clone(),
-                cache: Mutex::new(RowCache::new()),
-            }),
-        }
+        Self::with_backend(graph, DistanceBackend::Sparse)
     }
 
     /// The production policy: dense ([`DistanceMatrix::bfs`]) up to
     /// [`DENSE_DISTANCE_THRESHOLD`] qubits, [`DistanceMatrix::sparse`]
-    /// above. Equivalent to
-    /// [`with_backend`](DistanceMatrix::with_backend) with
-    /// [`DistanceBackend::Auto`].
+    /// above.
     pub fn auto(graph: &CouplingGraph) -> Self {
         Self::with_backend(graph, DistanceBackend::Auto)
     }
@@ -439,59 +557,7 @@ impl DistanceMatrix {
     /// Constructs with an explicit backend choice — the override knob the
     /// auto policy's threshold is measured against.
     pub fn with_backend(graph: &CouplingGraph, backend: DistanceBackend) -> Self {
-        if backend.prefers_sparse(graph.num_qubits()) {
-            Self::sparse(graph)
-        } else {
-            Self::bfs(graph)
-        }
-    }
-
-    /// `true` when this matrix answers from the sparse on-demand engine
-    /// (no `O(N²)` allocation exists).
-    pub fn is_sparse(&self) -> bool {
-        matches!(self.backend, HopBackend::Sparse(_))
-    }
-
-    /// Number of qubits the matrix covers.
-    pub fn num_qubits(&self) -> usize {
-        self.n
-    }
-
-    /// The distance `D[a][b]`. Dense: one indexed load. Sparse: a row
-    /// fetch (`O(1)` amortized on the LRU, `O(E)` on a miss) plus a load.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    #[inline]
-    pub fn get(&self, a: Qubit, b: Qubit) -> u32 {
-        match &self.backend {
-            HopBackend::Dense(data) => data[a.index() * self.n + b.index()],
-            HopBackend::Sparse(engine) => {
-                assert!(b.index() < self.n, "qubit {b} out of range");
-                engine.row(a)[b.index()]
-            }
-        }
-    }
-
-    /// Row `D[a][·]` indexed by physical qubit — the hot-path view: the
-    /// router's delta scorer resolves every candidate SWAP against one or
-    /// two rows, so a row handle turns the inner loop into contiguous
-    /// indexed loads. Dense rows are zero-copy borrows; sparse rows are
-    /// shared handles served from the LRU (`O(1)` amortized, `O(E)` on a
-    /// cold source).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is out of range.
-    #[inline]
-    pub fn row(&self, a: Qubit) -> DistanceRow<'_, u32> {
-        match &self.backend {
-            HopBackend::Dense(data) => {
-                DistanceRow::borrowed(&data[a.index() * self.n..(a.index() + 1) * self.n])
-            }
-            HopBackend::Sparse(engine) => DistanceRow::shared(engine.row(a)),
-        }
+        Self::build(graph, (), backend)
     }
 
     /// `true` when `a` and `b` are distinct and directly coupled.
@@ -504,9 +570,9 @@ impl DistanceMatrix {
     /// a single BFS connectivity check, `O(N + E)` — no rows are
     /// materialized or cached.
     pub fn all_finite(&self) -> bool {
-        match &self.backend {
-            HopBackend::Dense(data) => !data.contains(&Self::UNREACHABLE),
-            HopBackend::Sparse(engine) => engine.graph.is_connected(),
+        match &self.store {
+            Store::Dense(data) => !data.contains(&Self::UNREACHABLE),
+            Store::Sparse(engine) => engine.graph.is_connected(),
         }
     }
 
@@ -514,74 +580,19 @@ impl DistanceMatrix {
     /// `O(N²)` scan. Sparse: streams one BFS per source (`O(N·E)` time,
     /// `O(N)` memory) without touching the row cache.
     pub fn max_finite(&self) -> u32 {
-        match &self.backend {
-            HopBackend::Dense(data) => data
-                .iter()
+        let finite_max = |row: &[u32]| {
+            row.iter()
                 .copied()
                 .filter(|&d| d != Self::UNREACHABLE)
                 .max()
+                .unwrap_or(0)
+        };
+        match &self.store {
+            Store::Dense(data) => finite_max(data),
+            Store::Sparse(engine) => (0..self.n)
+                .map(|q| finite_max(&engine.graph.bfs_distances(Qubit(q as u32))))
+                .max()
                 .unwrap_or(0),
-            HopBackend::Sparse(engine) => {
-                let mut max = 0;
-                for q in 0..self.n {
-                    let row = engine.graph.bfs_distances(Qubit(q as u32));
-                    for d in row {
-                        if d != Self::UNREACHABLE {
-                            max = max.max(d);
-                        }
-                    }
-                }
-                max
-            }
-        }
-    }
-
-    /// Rows currently resident in the sparse engine's LRU (always `0` for
-    /// dense backends) — observability for memory-ceiling tests; never
-    /// exceeds [`ROW_CACHE_CAPACITY`].
-    pub fn cached_rows(&self) -> usize {
-        match &self.backend {
-            HopBackend::Dense(_) => 0,
-            HopBackend::Sparse(engine) => engine.cache.lock().expect("row cache poisoned").len(),
-        }
-    }
-}
-
-impl Clone for DistanceMatrix {
-    /// Cloning a sparse matrix clones the graph and starts an empty row
-    /// cache — cache state is pure acceleration, so the clone observes
-    /// identical values from the first query.
-    fn clone(&self) -> Self {
-        match &self.backend {
-            HopBackend::Dense(data) => DistanceMatrix {
-                n: self.n,
-                backend: HopBackend::Dense(data.clone()),
-            },
-            HopBackend::Sparse(engine) => DistanceMatrix {
-                n: self.n,
-                backend: HopBackend::Sparse(SparseHops {
-                    graph: engine.graph.clone(),
-                    cache: Mutex::new(RowCache::new()),
-                }),
-            },
-        }
-    }
-}
-
-impl PartialEq for DistanceMatrix {
-    /// Semantic equality: same size and same distance for every pair,
-    /// regardless of backend. Comparing a sparse matrix materializes its
-    /// rows (`O(N·E)`) — intended for tests, not hot paths.
-    fn eq(&self, other: &Self) -> bool {
-        if self.n != other.n {
-            return false;
-        }
-        match (&self.backend, &other.backend) {
-            (HopBackend::Dense(a), HopBackend::Dense(b)) => a == b,
-            _ => (0..self.n).all(|q| {
-                let q = Qubit(q as u32);
-                *self.row(q) == *other.row(q)
-            }),
         }
     }
 }
@@ -589,85 +600,34 @@ impl PartialEq for DistanceMatrix {
 impl Eq for DistanceMatrix {}
 
 /// All-pairs shortest paths over **weighted** edges (`f64` costs), used
-/// by the noise-aware routing extension: edge weights are per-coupling
-/// SWAP costs in the log-fidelity domain, so a path's total weight is the
-/// (negated log) fidelity of swapping along it.
-///
-/// Like [`DistanceMatrix`], this is a policy over a dense array and a
-/// sparse Dijkstra-row engine (see the module docs); the sparse
-/// side additionally carries a [`LandmarkOracle`] for `O(k)` bounds via
-/// [`WeightedDistanceMatrix::estimate_bounds`]. The
-/// [`WeightedDistanceMatrix::dijkstra`] and
-/// [`WeightedDistanceMatrix::sparse`] constructors share one row
-/// algorithm, so dense and sparse values are bit-identical.
-#[derive(Debug)]
-pub struct WeightedDistanceMatrix {
-    n: usize,
-    backend: WeightedBackend,
-}
-
-#[derive(Debug)]
-enum WeightedBackend {
-    /// Row-major `n × n`; `f64::INFINITY` marks unreachable pairs.
-    Dense(Vec<f64>),
-    /// Boxed: the engine (graph + oracle + cache) is far larger than
-    /// the dense variant's `Vec` header.
-    Sparse(Box<SparseWeighted>),
-}
+/// by the router and the noise-aware extension: edge weights are
+/// per-coupling SWAP costs in the log-fidelity domain, so a path's total
+/// weight is the (negated log) fidelity of swapping along it. Rows are
+/// Dijkstra sweeps over the packed edge weights; unreachable pairs are
+/// `f64::INFINITY`.
+pub type WeightedDistanceMatrix = Distances<f64>;
 
 impl WeightedDistanceMatrix {
     /// Dense Floyd–Warshall over arbitrary non-negative edge weights
     /// supplied by `weight(a, b)` for each coupling. `O(N³)` time,
     /// `O(N²)` memory. Kept as the reference all-pairs algorithm (tests
-    /// pin the Dijkstra machinery against it); production paths go
-    /// through [`WeightedDistanceMatrix::auto`].
+    /// pin the Dijkstra rows against it); production paths go through
+    /// [`WeightedDistanceMatrix::auto`].
     ///
     /// # Panics
     ///
     /// Panics if a weight is negative or non-finite.
-    pub fn floyd_warshall<F>(graph: &CouplingGraph, mut weight: F) -> Self
+    pub fn floyd_warshall<F>(graph: &CouplingGraph, weight: F) -> Self
     where
         F: FnMut(Qubit, Qubit) -> f64,
     {
-        let n = graph.num_qubits() as usize;
-        let mut data = vec![f64::INFINITY; n * n];
-        for i in 0..n {
-            data[i * n + i] = 0.0;
-        }
-        for &(a, b) in graph.edges() {
-            let w = weight(a, b);
-            assert!(
-                w.is_finite() && w >= 0.0,
-                "edge weights must be finite and ≥ 0"
-            );
-            data[a.index() * n + b.index()] = w;
-            data[b.index() * n + a.index()] = w;
-        }
-        for k in 0..n {
-            for i in 0..n {
-                let dik = data[i * n + k];
-                if !dik.is_finite() {
-                    continue;
-                }
-                for j in 0..n {
-                    let through_k = dik + data[k * n + j];
-                    if through_k < data[i * n + j] {
-                        data[i * n + j] = through_k;
-                    }
-                }
-            }
-        }
-        WeightedDistanceMatrix {
-            n,
-            backend: WeightedBackend::Dense(data),
-        }
+        Self::floyd_warshall_over(graph, pack_edge_weights(graph, weight))
     }
 
     /// Dense all-pairs matrix built from `N` per-source Dijkstra sweeps,
-    /// `O(N·(E + N log N))` time, `O(N²)` memory. Each row is exactly
-    /// what [`WeightedDistanceMatrix::sparse`] computes on demand — the
-    /// eager twin the auto policy uses below the threshold, so crossing
-    /// the threshold never changes a value's bits.
+    /// `O(N·(E + N log N))` time, `O(N²)` memory — the eager twin of
+    /// [`WeightedDistanceMatrix::sparse`], so crossing the threshold
+    /// never changes a value's bits.
     ///
     /// # Panics
     ///
@@ -676,24 +636,13 @@ impl WeightedDistanceMatrix {
     where
         F: FnMut(Qubit, Qubit) -> f64,
     {
-        let edge_weights = pack_edge_weights(graph, weight);
-        let n = graph.num_qubits() as usize;
-        let mut data = vec![f64::INFINITY; n * n];
-        for i in 0..n {
-            let row = dijkstra_row(graph, &edge_weights, Qubit(i as u32));
-            data[i * n..(i + 1) * n].copy_from_slice(&row);
-        }
-        WeightedDistanceMatrix {
-            n,
-            backend: WeightedBackend::Dense(data),
-        }
+        Self::with_backend(graph, weight, DistanceBackend::Dense)
     }
 
     /// The sparse on-demand engine: per-edge weights packed by edge id,
-    /// Dijkstra rows computed per source and LRU-cached, plus a
-    /// [`LandmarkOracle`] for `O(k)` bounds. `O(N + E + k·N)` resident
-    /// and at most [`ROW_CACHE_CAPACITY`] cached rows; `O(E + N log N)`
-    /// per row miss, `O(1)` per hit.
+    /// Dijkstra rows computed per source and LRU-cached. `O(N + E)`
+    /// resident plus at most [`ROW_CACHE_CAPACITY`] cached rows;
+    /// `O(E + N log N)` per row miss, `O(1)` per hit.
     ///
     /// # Panics
     ///
@@ -702,17 +651,7 @@ impl WeightedDistanceMatrix {
     where
         F: FnMut(Qubit, Qubit) -> f64,
     {
-        let edge_weights: Arc<[f64]> = pack_edge_weights(graph, weight).into();
-        let oracle = LandmarkOracle::new(graph, &edge_weights, DEFAULT_LANDMARKS);
-        WeightedDistanceMatrix {
-            n: graph.num_qubits() as usize,
-            backend: WeightedBackend::Sparse(Box::new(SparseWeighted {
-                graph: graph.clone(),
-                edge_weights,
-                cache: Mutex::new(RowCache::new()),
-                oracle,
-            })),
-        }
+        Self::with_backend(graph, weight, DistanceBackend::Sparse)
     }
 
     /// The production policy: dense ([`WeightedDistanceMatrix::dijkstra`])
@@ -738,238 +677,16 @@ impl WeightedDistanceMatrix {
     where
         F: FnMut(Qubit, Qubit) -> f64,
     {
-        if backend.prefers_sparse(graph.num_qubits()) {
-            Self::sparse(graph, weight)
-        } else {
-            Self::dijkstra(graph, weight)
-        }
+        Self::build(graph, pack_edge_weights(graph, weight).into(), backend)
     }
 
-    /// Builds the unweighted (hop-count) matrix as `f64` — what the
-    /// default router uses internally. Dense Floyd–Warshall; prefer
-    /// [`WeightedDistanceMatrix::auto`] with a constant weight for
-    /// size-aware construction (hop distances are integer-valued `f64`s,
-    /// so every construction path agrees bit-for-bit).
+    /// Builds the unweighted (hop-count) matrix as `f64` by dense
+    /// Floyd–Warshall. Prefer [`WeightedDistanceMatrix::auto`] with a
+    /// constant weight for size-aware construction (hop distances are
+    /// integer-valued `f64`s, so every construction path agrees
+    /// bit-for-bit).
     pub fn hops(graph: &CouplingGraph) -> Self {
         Self::floyd_warshall(graph, |_, _| 1.0)
-    }
-
-    /// `true` when this matrix answers from the sparse on-demand engine
-    /// (no `O(N²)` allocation exists).
-    pub fn is_sparse(&self) -> bool {
-        matches!(self.backend, WeightedBackend::Sparse(_))
-    }
-
-    /// Number of qubits covered.
-    pub fn num_qubits(&self) -> usize {
-        self.n
-    }
-
-    /// The weighted distance between `a` and `b` (`f64::INFINITY` when
-    /// unreachable). Dense: one indexed load. Sparse: a row fetch
-    /// (`O(1)` amortized, `O(E + N log N)` on a miss) plus a load.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    #[inline]
-    pub fn get(&self, a: Qubit, b: Qubit) -> f64 {
-        match &self.backend {
-            WeightedBackend::Dense(data) => data[a.index() * self.n + b.index()],
-            WeightedBackend::Sparse(engine) => {
-                assert!(b.index() < self.n, "qubit {b} out of range");
-                engine.row(a)[b.index()]
-            }
-        }
-    }
-
-    /// Row `D[a][·]` indexed by physical qubit — the hot-path view (see
-    /// [`DistanceMatrix::row`]; identical contract, `f64` values).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is out of range.
-    #[inline]
-    pub fn row(&self, a: Qubit) -> DistanceRow<'_, f64> {
-        match &self.backend {
-            WeightedBackend::Dense(data) => {
-                DistanceRow::borrowed(&data[a.index() * self.n..(a.index() + 1) * self.n])
-            }
-            WeightedBackend::Sparse(engine) => DistanceRow::shared(engine.row(a)),
-        }
-    }
-
-    /// `[lower, upper]` bounds on the distance `D[a][b]` without loading
-    /// or computing any row. Dense backends return the exact value twice
-    /// (`O(1)`); sparse backends answer from the [`LandmarkOracle`] in
-    /// `O(k)` — the cheap triage for callers (fleet scoring, admission
-    /// control) that need distance *scale*, not the exact value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn estimate_bounds(&self, a: Qubit, b: Qubit) -> (f64, f64) {
-        match &self.backend {
-            WeightedBackend::Dense(data) => {
-                let d = data[a.index() * self.n + b.index()];
-                (d, d)
-            }
-            WeightedBackend::Sparse(engine) => {
-                assert!(a.index() < self.n, "qubit {a} out of range");
-                assert!(b.index() < self.n, "qubit {b} out of range");
-                engine.oracle.bounds(a, b)
-            }
-        }
-    }
-
-    /// Rows currently resident in the sparse engine's LRU (always `0`
-    /// for dense backends) — never exceeds [`ROW_CACHE_CAPACITY`].
-    pub fn cached_rows(&self) -> usize {
-        match &self.backend {
-            WeightedBackend::Dense(_) => 0,
-            WeightedBackend::Sparse(engine) => {
-                engine.cache.lock().expect("row cache poisoned").len()
-            }
-        }
-    }
-}
-
-impl Clone for WeightedDistanceMatrix {
-    /// Cloning a sparse matrix reuses the packed weights and oracle
-    /// (immutable, `Arc`-shared where large) and starts an empty row
-    /// cache — values are unaffected.
-    fn clone(&self) -> Self {
-        match &self.backend {
-            WeightedBackend::Dense(data) => WeightedDistanceMatrix {
-                n: self.n,
-                backend: WeightedBackend::Dense(data.clone()),
-            },
-            WeightedBackend::Sparse(engine) => WeightedDistanceMatrix {
-                n: self.n,
-                backend: WeightedBackend::Sparse(Box::new(SparseWeighted {
-                    graph: engine.graph.clone(),
-                    edge_weights: Arc::clone(&engine.edge_weights),
-                    cache: Mutex::new(RowCache::new()),
-                    oracle: engine.oracle.clone(),
-                })),
-            },
-        }
-    }
-}
-
-impl PartialEq for WeightedDistanceMatrix {
-    /// Semantic equality: same size and bitwise-equal distance for every
-    /// pair, regardless of backend (materializes sparse rows; test-path
-    /// cost).
-    fn eq(&self, other: &Self) -> bool {
-        if self.n != other.n {
-            return false;
-        }
-        match (&self.backend, &other.backend) {
-            (WeightedBackend::Dense(a), WeightedBackend::Dense(b)) => a == b,
-            _ => (0..self.n).all(|q| {
-                let q = Qubit(q as u32);
-                *self.row(q) == *other.row(q)
-            }),
-        }
-    }
-}
-
-/// Landmarks kept by the sparse weighted engine's oracle. More landmarks
-/// tighten the bounds at `O(k·N)` memory and `O(k)` per query; 16 keeps
-/// a 10⁴-qubit oracle under 1.3 MiB.
-const DEFAULT_LANDMARKS: usize = 16;
-
-/// An ALT-style landmark distance oracle: `k` landmarks chosen by
-/// farthest-point sampling, each with its exact Dijkstra row stored, give
-/// triangle-inequality bounds on any pair's distance in `O(k)` —
-///
-/// - `lower(a, b) = max_l |d(l, a) − d(l, b)|`
-/// - `upper(a, b) = min_l (d(l, a) + d(l, b))`
-///
-/// without computing a row for either endpoint. The sparse
-/// [`WeightedDistanceMatrix`] consults it via
-/// [`WeightedDistanceMatrix::estimate_bounds`]; bounds are exact
-/// (`lower == upper == d`) whenever `a` or `b` is itself a landmark.
-/// Memory is `O(k·N)`; construction runs `k` Dijkstra sweeps.
-#[derive(Clone, Debug)]
-pub struct LandmarkOracle {
-    landmarks: Vec<Qubit>,
-    /// `rows[i][q]` = exact distance from `landmarks[i]` to `q`.
-    rows: Vec<Arc<[f64]>>,
-}
-
-impl LandmarkOracle {
-    /// Builds an oracle with up to `k` landmarks over `edge_weights`
-    /// (indexed by dense edge id, as packed by the sparse engine).
-    /// Selection is deterministic farthest-point sampling: the first
-    /// landmark is qubit 0, each next one maximizes its minimum distance
-    /// to the chosen set (ties to the lowest index; unreachable qubits
-    /// are never picked).
-    pub(crate) fn new(graph: &CouplingGraph, edge_weights: &[f64], k: usize) -> Self {
-        let n = graph.num_qubits() as usize;
-        let mut oracle = LandmarkOracle {
-            landmarks: Vec::new(),
-            rows: Vec::new(),
-        };
-        if n == 0 || k == 0 {
-            return oracle;
-        }
-        // min_dist[q] = distance from q to its nearest chosen landmark.
-        let mut min_dist = vec![f64::INFINITY; n];
-        let mut next = Qubit(0);
-        for _ in 0..k.min(n) {
-            let row: Arc<[f64]> = dijkstra_row(graph, edge_weights, next).into();
-            for (q, &d) in row.iter().enumerate() {
-                if d < min_dist[q] {
-                    min_dist[q] = d;
-                }
-            }
-            oracle.landmarks.push(next);
-            oracle.rows.push(row);
-            // Farthest remaining qubit; stop if everything reachable is
-            // already a landmark (min_dist 0) or unreachable (infinite).
-            let mut best: Option<(f64, usize)> = None;
-            for (q, &d) in min_dist.iter().enumerate() {
-                if d.is_finite() && d > 0.0 && best.is_none_or(|(bd, _)| d > bd) {
-                    best = Some((d, q));
-                }
-            }
-            match best {
-                Some((_, q)) => next = Qubit(q as u32),
-                None => break,
-            }
-        }
-        oracle
-    }
-
-    /// The chosen landmarks, in selection order.
-    pub fn landmarks(&self) -> &[Qubit] {
-        &self.landmarks
-    }
-
-    /// `(lower, upper)` bounds on `d(a, b)`, `O(k)`. With no landmarks
-    /// (empty graph) the bounds are the vacuous `(0, +∞)`; `(a, a)`
-    /// always answers `(0, 0)`.
-    pub fn bounds(&self, a: Qubit, b: Qubit) -> (f64, f64) {
-        if a == b {
-            return (0.0, 0.0);
-        }
-        let mut lower = 0.0f64;
-        let mut upper = f64::INFINITY;
-        for row in &self.rows {
-            let da = row[a.index()];
-            let db = row[b.index()];
-            if da.is_finite() && db.is_finite() {
-                lower = lower.max((da - db).abs());
-                upper = upper.min(da + db);
-            } else if da.is_finite() != db.is_finite() {
-                // One endpoint reaches this landmark, the other does not:
-                // the pair is disconnected.
-                return (f64::INFINITY, f64::INFINITY);
-            }
-        }
-        (lower, upper)
     }
 }
 
@@ -1113,33 +830,52 @@ mod tests {
         assert!(WeightedDistanceMatrix::auto(&big, |_, _| 1.0).is_sparse());
     }
 
+    /// A line of `n` qubits, long enough to overflow the row cache.
+    fn long_line(n: u32) -> CouplingGraph {
+        CouplingGraph::from_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap()
+    }
+
     #[test]
     fn sparse_row_cache_is_bounded() {
-        let n = (ROW_CACHE_CAPACITY + 200) as u32;
-        let g = CouplingGraph::from_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap();
-        let d = DistanceMatrix::sparse(&g);
-        for q in 0..n {
-            let _ = d.get(Qubit(q), Qubit(0));
+        fn check<T: DistanceValue>(d: Distances<T>, n: u32, far: T) {
+            for q in 0..n {
+                let _ = d.get(Qubit(q), Qubit(0));
+            }
+            assert_eq!(d.cached_rows(), ROW_CACHE_CAPACITY);
+            // Eviction never changes values: re-query the very first source.
+            assert_eq!(d.get(Qubit(0), Qubit(n - 1)), far);
         }
-        assert_eq!(d.cached_rows(), ROW_CACHE_CAPACITY);
-        // Eviction never changes values: re-query the very first source.
-        assert_eq!(d.get(Qubit(0), Qubit(n - 1)), n - 1);
+        let n = (ROW_CACHE_CAPACITY + 200) as u32;
+        let g = long_line(n);
+        check(DistanceMatrix::sparse(&g), n, n - 1);
+        check(
+            WeightedDistanceMatrix::sparse(&g, |_, _| 1.0),
+            n,
+            f64::from(n - 1),
+        );
     }
 
     #[test]
     fn row_guards_coexist_across_eviction() {
-        let n = (ROW_CACHE_CAPACITY + 8) as u32;
-        let g = CouplingGraph::from_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap();
-        let d = DistanceMatrix::sparse(&g);
-        let first = d.row(Qubit(0));
-        // Touch enough sources to evict qubit 0's row from the LRU.
-        for q in 1..n {
-            let _ = d.row(Qubit(q));
+        fn check<T: DistanceValue>(d: Distances<T>, n: u32, far: T) {
+            let first = d.row(Qubit(0));
+            // Touch enough sources to evict qubit 0's row from the LRU.
+            for q in 1..n {
+                let _ = d.row(Qubit(q));
+            }
+            // The held guard still reads the evicted row's (correct) data.
+            assert_eq!(first[(n - 1) as usize], far);
+            let again = d.row(Qubit(0));
+            assert_eq!(*first, *again);
         }
-        // The held guard still reads the evicted row's (correct) data.
-        assert_eq!(first[(n - 1) as usize], n - 1);
-        let again = d.row(Qubit(0));
-        assert_eq!(*first, *again);
+        let n = (ROW_CACHE_CAPACITY + 8) as u32;
+        let g = long_line(n);
+        check(DistanceMatrix::sparse(&g), n, n - 1);
+        check(
+            WeightedDistanceMatrix::sparse(&g, |_, _| 1.0),
+            n,
+            f64::from(n - 1),
+        );
     }
 
     #[test]
@@ -1308,54 +1044,26 @@ mod tests {
     }
 
     #[test]
-    fn landmark_bounds_sandwich_exact_distances() {
-        let device = crate::devices::grid(6, 6);
-        let g = device.graph();
-        let weight = |a: Qubit, b: Qubit| 0.5 + 0.01 * f64::from(a.0 + b.0);
-        let sparse = WeightedDistanceMatrix::sparse(g, weight);
-        let exact = WeightedDistanceMatrix::dijkstra(g, weight);
-        for i in 0..36u32 {
-            for j in 0..36u32 {
-                let (lo, hi) = sparse.estimate_bounds(Qubit(i), Qubit(j));
-                let d = exact.get(Qubit(i), Qubit(j));
-                assert!(
-                    lo <= d + 1e-12 && d <= hi + 1e-12,
-                    "({i},{j}): {lo} ≤ {d} ≤ {hi} violated"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn landmark_bounds_are_exact_at_landmarks() {
-        let device = crate::devices::grid(5, 5);
-        let g = device.graph();
-        let sparse = WeightedDistanceMatrix::sparse(g, |_, _| 1.0);
-        let WeightedBackend::Sparse(engine) = &sparse.backend else {
-            panic!("constructed sparse");
-        };
-        let l = engine.oracle.landmarks()[0];
-        for q in 0..25u32 {
-            let (lo, hi) = sparse.estimate_bounds(l, Qubit(q));
-            assert_eq!(lo, hi, "bounds at a landmark must collapse");
-            assert_eq!(lo, sparse.get(l, Qubit(q)));
-        }
-    }
-
-    #[test]
-    fn landmark_oracle_flags_disconnection() {
-        let g = CouplingGraph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
-        let s = WeightedDistanceMatrix::sparse(&g, |_, _| 1.0);
-        let (lo, hi) = s.estimate_bounds(Qubit(0), Qubit(2));
-        assert!(lo.is_infinite() && hi.is_infinite());
-    }
-
-    #[test]
-    fn dense_estimate_bounds_are_exact() {
-        let g = square();
-        let w = WeightedDistanceMatrix::hops(&g);
-        let (lo, hi) = w.estimate_bounds(Qubit(0), Qubit(3));
-        assert_eq!((lo, hi), (2.0, 2.0));
+    #[should_panic(expected = "index out of bounds")]
+    fn get_past_the_last_qubit_panics_for_both_value_types() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let line = CouplingGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
+        let dense_hops = DistanceMatrix::bfs(&line);
+        let sparse_hops = DistanceMatrix::sparse(&line);
+        let sparse_costs = WeightedDistanceMatrix::sparse(&line, |_, _| 1.0);
+        // Every backend and value type panics rather than reading into a
+        // neighbouring row.
+        let panics = |get: &dyn Fn()| catch_unwind(AssertUnwindSafe(get)).is_err();
+        assert!(panics(&|| {
+            let _ = dense_hops.get(Qubit(0), Qubit(4));
+        }));
+        assert!(panics(&|| {
+            let _ = sparse_hops.get(Qubit(0), Qubit(4));
+        }));
+        assert!(panics(&|| {
+            let _ = sparse_costs.get(Qubit(2), Qubit(5));
+        }));
+        let _ = WeightedDistanceMatrix::dijkstra(&line, |_, _| 1.0).get(Qubit(2), Qubit(5));
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //!   applied on either direction between any connected qubit pair"
 //!   (§III-A), so edges are symmetric.
 //! - [`DistanceMatrix`] / [`WeightedDistanceMatrix`]: the preprocessing
-//!   step of §IV-A; `D[i][j]` is the minimum number of SWAPs (or the
+//!   step of §IV-A, two instantiations of one row store
+//!   ([`Distances`]); `D[i][j]` is the minimum number of SWAPs (or the
 //!   cheapest noise-weighted SWAP cost) required to move a logical qubit
 //!   from physical qubit `Q_i` to `Q_j`. Small devices store the dense
 //!   all-pairs matrix; kilo-qubit devices answer from an on-demand
-//!   sparse row engine (BFS/Dijkstra rows behind an LRU, plus a
-//!   [`LandmarkOracle`] for `O(k)` bounds) — same values, flat memory.
-//!   [`DENSE_DISTANCE_THRESHOLD`] is the crossover.
+//!   sparse row engine (BFS/Dijkstra rows behind an LRU) — same values,
+//!   flat memory. [`DENSE_DISTANCE_THRESHOLD`] is the crossover.
 //! - [`devices`]: a zoo of concrete device models — the IBM Q20 Tokyo graph
 //!   of Figure 2 with its published error rates, older IBM chips, and
 //!   parametric generators (linear, ring, grid, star, complete, heavy-hex).
@@ -47,7 +47,7 @@ pub mod noise;
 
 pub use csr::CsrAdjacency;
 pub use distance::{
-    DistanceBackend, DistanceMatrix, DistanceRow, LandmarkOracle, WeightedDistanceMatrix,
+    DistanceBackend, DistanceMatrix, DistanceRow, Distances, WeightedDistanceMatrix,
     DENSE_DISTANCE_THRESHOLD, ROW_CACHE_CAPACITY,
 };
 pub use graph::{CouplingGraph, TopologyError};

@@ -1,14 +1,12 @@
 //! Kilo-qubit routing at flat memory: the sparse distance engine.
 //!
 //! Devices past [`sabre_topology::DENSE_DISTANCE_THRESHOLD`] qubits skip
-//! the dense all-pairs matrices entirely — preprocessing keeps only the
-//! CSR graph, a bounded LRU of BFS/Dijkstra rows, and a handful of
-//! landmark rows. This example routes a deep circuit on a 1089-qubit
-//! grid (33×33) and then preprocesses a 10 000-qubit grid, printing the
-//! resident row counts so you can see memory stay flat. CI runs it under
-//! a hard address-space ceiling (`ulimit -v`) that the dense `O(N²)`
-//! matrices could not fit — at 10⁴ qubits, dense weighted distances
-//! alone would need ~800 MB.
+//! the dense all-pairs matrix entirely — preprocessing keeps only the
+//! CSR graph and a bounded LRU of BFS/Dijkstra rows. This example routes
+//! a deep circuit on a 1089-qubit grid (33×33) and then preprocesses a
+//! 10 000-qubit grid, printing the resident row counts so you can see
+//! memory stay flat. CI runs it under a hard address-space ceiling
+//! (`ulimit -v`), and it asserts that both matrices are sparse.
 //!
 //! ```text
 //! cargo run --release --example kilo_qubit
@@ -34,6 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         start.elapsed(),
         router.distance_matrix().is_sparse(),
     );
+    assert!(router.distance_matrix().is_sparse());
 
     // A deep circuit: 4000 gates over 200 logical qubits. Depth is what
     // stresses routing; the device's spare width is what the sparse
@@ -68,6 +67,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         start.elapsed(),
         dist.is_sparse(),
     );
+    // The address-space ceiling alone would not catch a dense fill here:
+    // 10⁸ f64s are ~760 MiB, under CI's 1 GiB.
+    assert!(dist.is_sparse());
     // Touch more rows than the cache holds: residency stays at the cap.
     for q in (0..huge.num_qubits()).step_by(7) {
         let _ = dist.row(sabre_topology::Qubit(q));

@@ -1116,6 +1116,105 @@ mod tests {
         assert_eq!(neg_milli_log(f64::NEG_INFINITY), u64::MAX);
     }
 
+    /// A fixed, fully populated state: every counter holds a distinct
+    /// value, every histogram (labeled phases included) has
+    /// observations, and the scoreboard holds two devices, one of whose
+    /// ids needs label escaping.
+    fn populated() -> Metrics {
+        let m = Metrics::default();
+        let counters = [
+            &m.requests_route,
+            &m.requests_sharded,
+            &m.requests_batch,
+            &m.requests_devices,
+            &m.requests_fleets,
+            &m.requests_noise,
+            &m.requests_healthz,
+            &m.requests_metrics,
+            &m.queue_rejections,
+            &m.jobs_admitted,
+            &m.jobs_completed,
+            &m.jobs_failed,
+            &m.circuits_routed,
+            &m.routing_ns_total,
+            &m.routing_steps_total,
+            &m.last_route_ns_per_step,
+            &m.queue_wait_ns_total,
+            &m.reaped_read_deadline,
+            &m.reaped_write_deadline,
+            &m.reaped_idle,
+            &m.shed_rate_limited,
+            &m.shed_predicted_slo,
+            &m.shed_table_full,
+            &m.plan_cache_inline_hits,
+        ];
+        for (i, counter) in counters.into_iter().enumerate() {
+            Metrics::add(counter, 10 + i as u64);
+        }
+        m.record_routing(123_456, 789, 156);
+        for (histogram, values) in [
+            (&m.predicted_wait_ms, &[0, 7, 300, 99_999][..]),
+            (&m.rebind_ns, &[900, 4_200, 2_000_000_000]),
+            (&m.route_phase_front_ns, &[5_000, 2_000_000]),
+            (&m.route_phase_extended_set_ns, &[50_000]),
+            (&m.route_phase_scoring_ns, &[9_000_000, 200_000_000_000]),
+        ] {
+            for &value in values {
+                histogram.observe(value);
+            }
+        }
+        m.observe_quality("tokyo20", &quality(4, 9, Some(-0.5)));
+        m.observe_quality("tokyo20", &quality(3_000, 20, Some(-150.0)));
+        m.observe_quality("grid\"6x6\"", &quality(0, 0, None));
+        m
+    }
+
+    /// The whole exposition, byte for byte, for [`populated`] — the
+    /// contract that e2ebench's trace parser and the CI `/metrics` greps
+    /// read.
+    #[test]
+    fn render_matches_golden_exposition() {
+        let text = populated().render(
+            GaugeSnapshot {
+                queue_depth: 3,
+                queue_capacity: 64,
+                workers: 4,
+                devices: 2,
+                fleets: 1,
+                draining: true,
+                open_connections: 17,
+                max_connections: 4096,
+            },
+            DeviceCacheStats {
+                graph_hits: 101,
+                graph_misses: 102,
+                noise_hits: 103,
+                noise_misses: 104,
+                embedding_hits: 105,
+                embedding_misses: 106,
+            },
+            PlanCacheStats {
+                hits: 201,
+                misses: 202,
+                evictions: 203,
+                entries: 204,
+                approx_bytes: 205,
+            },
+        );
+        let expected = include_str!("../testdata/metrics_exposition.txt");
+        for (line, (got, want)) in text.lines().zip(expected.lines()).enumerate() {
+            assert_eq!(got, want, "exposition line {}", line + 1);
+        }
+        assert_eq!(text, expected);
+    }
+
+    /// `/debug/quality` for [`populated`], byte for byte.
+    #[test]
+    fn quality_json_matches_golden() {
+        let json = populated().quality.to_json().to_string();
+        assert_eq!(json, include_str!("../testdata/quality.json"));
+    }
+
     #[test]
     fn zero_steps_renders_zero_average() {
         let m = Metrics::default();

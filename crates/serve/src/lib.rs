@@ -72,7 +72,7 @@ pub mod admission;
 pub mod api;
 mod config;
 pub mod http;
-pub mod metrics;
+mod metrics;
 mod poll;
 pub mod queue;
 mod reactor;

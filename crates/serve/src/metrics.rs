@@ -8,6 +8,11 @@
 //! `last_route_ns_per_step` the most recent request's — the two numbers an
 //! admission controller needs to translate queue depth into expected
 //! wait.
+//!
+//! Every exported family is declared once, as a row of [`FAMILIES`]:
+//! its name, kind, help text and value source. [`Metrics::render`] is one
+//! loop over that table, so the table is the one list of what `/metrics`
+//! exports.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -17,100 +22,138 @@ use std::sync::Mutex;
 use sabre::{DeviceCacheStats, PlanCacheStats, PlanQuality};
 use sabre_json::JsonValue;
 
-/// Monotone counters; gauges (queue depth, device count) are read from
-/// their owners at scrape time and passed to [`Metrics::render`].
-#[derive(Debug)]
-pub struct Metrics {
+/// The stored counters, one slot each in [`Metrics`]'s store.
+#[derive(Clone, Copy, Debug)]
+pub enum Counter {
     /// `POST /route` requests admitted or rejected.
-    pub requests_route: AtomicU64,
+    RequestsRoute,
     /// `POST /route_sharded` requests admitted or rejected.
-    pub requests_sharded: AtomicU64,
+    RequestsSharded,
     /// `POST /transpile_batch` requests admitted or rejected.
-    pub requests_batch: AtomicU64,
+    RequestsBatch,
     /// `POST /devices` registrations.
-    pub requests_devices: AtomicU64,
+    RequestsDevices,
     /// `POST /fleets` registrations.
-    pub requests_fleets: AtomicU64,
+    RequestsFleets,
     /// `POST /devices/{id}/noise` refreshes.
-    pub requests_noise: AtomicU64,
+    RequestsNoise,
     /// `GET /healthz` probes.
-    pub requests_healthz: AtomicU64,
+    RequestsHealthz,
     /// `GET /metrics` scrapes.
-    pub requests_metrics: AtomicU64,
+    RequestsMetrics,
     /// Admissions bounced with `503` because the queue was full.
-    pub queue_rejections: AtomicU64,
+    QueueRejections,
     /// Jobs accepted into the queue (completed + failed + still pending).
-    pub jobs_admitted: AtomicU64,
+    JobsAdmitted,
     /// Jobs that finished with a 2xx response.
-    pub jobs_completed: AtomicU64,
+    JobsCompleted,
     /// Jobs that finished with an error response.
-    pub jobs_failed: AtomicU64,
+    JobsFailed,
     /// Circuits routed successfully (batch slots count individually).
-    pub circuits_routed: AtomicU64,
+    CircuitsRouted,
     /// Wall nanoseconds spent inside `route()` calls.
-    pub routing_ns_total: AtomicU64,
+    RoutingNsTotal,
     /// Search steps executed by those calls (all traversals).
-    pub routing_steps_total: AtomicU64,
-    /// `ns_per_step` of the most recent `/route` job.
-    pub last_route_ns_per_step: AtomicU64,
+    RoutingStepsTotal,
+    /// `ns_per_step` of the most recent `/route` job (stored, not added).
+    LastRouteNsPerStep,
     /// Nanoseconds jobs spent queued between admission and pickup.
-    pub queue_wait_ns_total: AtomicU64,
+    QueueWaitNsTotal,
     /// Connections reaped by the read deadline (slowloris guard).
-    pub reaped_read_deadline: AtomicU64,
+    ReapedReadDeadline,
     /// Connections reaped by the write deadline (peer stopped reading).
-    pub reaped_write_deadline: AtomicU64,
+    ReapedWriteDeadline,
     /// Keep-alive connections closed by the idle timeout.
-    pub reaped_idle: AtomicU64,
+    ReapedIdle,
     /// Requests shed with `429` by the per-client token bucket.
-    pub shed_rate_limited: AtomicU64,
+    ShedRateLimited,
     /// Requests shed with `429` because the projected queue wait
     /// exceeded the admission SLO.
-    pub shed_predicted_slo: AtomicU64,
+    ShedPredictedSlo,
     /// Connections refused with a canned `503` because the connection
     /// table was full.
-    pub shed_table_full: AtomicU64,
-    /// Histogram of the projected queue wait computed at admission time
-    /// (milliseconds), recorded for every priced request whether it was
-    /// admitted or shed.
-    pub predicted_wait_ms: Histogram,
+    ShedTableFull,
     /// `/route` requests answered inline on the reactor thread from the
     /// routed-plan cache (zero search steps, no queueing).
-    pub plan_cache_inline_hits: AtomicU64,
-    /// Histogram of parameter re-bind latency (nanoseconds) for
-    /// plan-cache hits — the serving cost of a cached structure.
-    pub rebind_ns: Histogram,
-    /// Per-request front-layer maintenance time (ns), fed by profiled
-    /// `/route?profile=true` jobs; rendered as the labeled
-    /// `route_phase_ns{phase="front"}` series.
-    pub route_phase_front_ns: Histogram,
-    /// Extended-set BFS time (ns) of profiled jobs
-    /// (`route_phase_ns{phase="extended_set"}`).
-    pub route_phase_extended_set_ns: Histogram,
-    /// Candidate scoring time (ns) of profiled jobs
-    /// (`route_phase_ns{phase="scoring"}`).
-    pub route_phase_scoring_ns: Histogram,
-    /// Histogram of SWAPs inserted per routed circuit (batch slots and
-    /// shards count individually).
-    pub route_swaps: Histogram,
-    /// Histogram of depth overhead (output − input layers) per routed
-    /// circuit.
-    pub route_depth_overhead: Histogram,
-    /// Histogram of estimated −1000·log(success probability) per
-    /// noise-aware routed circuit (milli-nats of infidelity; smaller is
-    /// better). Hop-only routes are not observed.
-    pub route_log_success_probability: Histogram,
+    PlanCacheInlineHits,
+}
+
+impl Counter {
+    const COUNT: usize = Counter::PlanCacheInlineHits as usize + 1;
+}
+
+/// The fleet-wide histograms, one slot each in [`Metrics`]'s store.
+#[derive(Clone, Copy, Debug)]
+pub enum Hist {
+    /// Projected queue wait (ms) computed at admission time, recorded
+    /// for every priced request whether it was admitted or shed.
+    PredictedWaitMs,
+    /// Parameter re-bind latency (ns) of plan-cache hits — the serving
+    /// cost of a cached structure.
+    RebindNs,
+    /// Front-layer maintenance time (ns) of profiled
+    /// `/route?profile=true` jobs.
+    PhaseFrontNs,
+    /// Extended-set BFS time (ns) of profiled jobs.
+    PhaseExtendedSetNs,
+    /// Candidate scoring time (ns) of profiled jobs.
+    PhaseScoringNs,
+    /// SWAPs inserted per routed circuit (batch slots and shards count
+    /// individually).
+    RouteSwaps,
+    /// Depth overhead (output − input layers) per routed circuit.
+    RouteDepthOverhead,
+    /// Estimated −1000·log(success probability) per noise-aware routed
+    /// circuit (milli-nats of infidelity; smaller is better). Hop-only
+    /// routes are not observed.
+    RouteLogSuccess,
+}
+
+impl Hist {
+    const ALL: [Hist; 8] = [
+        Hist::PredictedWaitMs,
+        Hist::RebindNs,
+        Hist::PhaseFrontNs,
+        Hist::PhaseExtendedSetNs,
+        Hist::PhaseScoringNs,
+        Hist::RouteSwaps,
+        Hist::RouteDepthOverhead,
+        Hist::RouteLogSuccess,
+    ];
+
+    fn bounds(self) -> &'static [u64] {
+        match self {
+            Hist::PredictedWaitMs => &PREDICTED_WAIT_BUCKETS_MS,
+            Hist::RebindNs => &REBIND_NS_BUCKETS,
+            Hist::PhaseFrontNs | Hist::PhaseExtendedSetNs | Hist::PhaseScoringNs => {
+                &ROUTE_PHASE_NS_BUCKETS
+            }
+            Hist::RouteSwaps => &ROUTE_SWAPS_BUCKETS,
+            Hist::RouteDepthOverhead => &DEPTH_OVERHEAD_BUCKETS,
+            Hist::RouteLogSuccess => &NEG_MILLI_LOG_SUCCESS_BUCKETS,
+        }
+    }
+}
+
+/// The service's counter and histogram stores plus the per-device
+/// scoreboard; gauges (queue depth, device count) are read from their
+/// owners at scrape time and passed to [`Metrics::render`].
+#[derive(Debug)]
+pub struct Metrics {
+    counters: [AtomicU64; Counter::COUNT],
+    histograms: [Histogram; Hist::ALL.len()],
     /// Per-device quality scoreboard backing `GET /debug/quality`.
     pub quality: QualityBoard,
 }
 
 /// Upper bounds (ms) of the `admission_predicted_wait_ms` buckets; an
 /// implicit `+Inf` bucket follows.
-pub const PREDICTED_WAIT_BUCKETS_MS: [u64; 10] = [1, 5, 10, 25, 50, 100, 250, 500, 1000, 5000];
+const PREDICTED_WAIT_BUCKETS_MS: [u64; 10] = [1, 5, 10, 25, 50, 100, 250, 500, 1000, 5000];
 
 /// Upper bounds (ns) of the `route_phase_ns` buckets: hot-loop phase
 /// totals range from tens of microseconds (tiny circuits) to whole
 /// seconds (large profiled routes), so the bands are decades.
-pub const ROUTE_PHASE_NS_BUCKETS: [u64; 8] = [
+const ROUTE_PHASE_NS_BUCKETS: [u64; 8] = [
     10_000,
     100_000,
     1_000_000,
@@ -124,7 +167,7 @@ pub const ROUTE_PHASE_NS_BUCKETS: [u64; 8] = [
 /// Upper bounds (ns) of the `rebind_ns` buckets. Re-binding is a clone
 /// plus a parameter stamp — microseconds, not milliseconds — so the
 /// bands start at 1µs and top out at 100ms to catch pathologies.
-pub const REBIND_NS_BUCKETS: [u64; 9] = [
+const REBIND_NS_BUCKETS: [u64; 9] = [
     1_000,
     5_000,
     10_000,
@@ -138,24 +181,24 @@ pub const REBIND_NS_BUCKETS: [u64; 9] = [
 
 /// Upper bounds of the `route_swaps` buckets: a SWAP count per routed
 /// circuit, from the embeddable 0 through corpus-scale thousands.
-pub const ROUTE_SWAPS_BUCKETS: [u64; 10] = [0, 1, 2, 5, 10, 25, 50, 100, 500, 2000];
+const ROUTE_SWAPS_BUCKETS: [u64; 10] = [0, 1, 2, 5, 10, 25, 50, 100, 500, 2000];
 
 /// Upper bounds of the `route_depth_overhead` buckets (added DAG
 /// layers after SWAP decomposition).
-pub const DEPTH_OVERHEAD_BUCKETS: [u64; 10] = [0, 2, 5, 10, 25, 50, 100, 250, 1000, 5000];
+const DEPTH_OVERHEAD_BUCKETS: [u64; 10] = [0, 2, 5, 10, 25, 50, 100, 250, 1000, 5000];
 
 /// Upper bounds of the `route_log_success_probability` buckets, in
 /// **negated milli-nats**: an observation of `1000` means
 /// `log(p_success) = −1.0`, i.e. p ≈ 0.37. The span covers p ≈ 0.999
 /// down to e⁻¹⁰⁰ (deep circuits on noisy devices).
-pub const NEG_MILLI_LOG_SUCCESS_BUCKETS: [u64; 10] =
+const NEG_MILLI_LOG_SUCCESS_BUCKETS: [u64; 10] =
     [1, 10, 50, 100, 500, 1_000, 5_000, 10_000, 50_000, 100_000];
 
-/// A fixed-bucket Prometheus histogram (cumulative buckets rendered at
-/// scrape time; stored counts are per-bucket). The bucket bounds are a
-/// construction-time parameter so one type serves both the
-/// milliseconds-scale admission wait and the nanoseconds-scale rebind
-/// latency.
+/// A fixed-bucket histogram (cumulative buckets rendered at scrape time;
+/// stored counts are per-bucket). The bucket bounds are a
+/// construction-time parameter so one type serves the milliseconds-scale
+/// admission wait, the nanoseconds-scale rebind latency and the
+/// scoreboard's per-device quality distributions.
 #[derive(Debug)]
 pub struct Histogram {
     bounds: &'static [u64],
@@ -163,6 +206,7 @@ pub struct Histogram {
     buckets: Vec<AtomicU64>,
     sum: AtomicU64,
     count: AtomicU64,
+    max: AtomicU64,
 }
 
 impl Histogram {
@@ -174,6 +218,7 @@ impl Histogram {
             buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             sum: AtomicU64::new(0),
             count: AtomicU64::new(0),
+            max: AtomicU64::new(0),
         }
     }
 
@@ -187,6 +232,7 @@ impl Histogram {
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
+        self.max.fetch_max(value, Ordering::Relaxed);
     }
 
     /// Total observations so far.
@@ -194,45 +240,67 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    fn render(&self, out: &mut String, name: &str, help: &str) {
-        let _ = writeln!(out, "# HELP sabre_serve_{name} {help}");
-        let _ = writeln!(out, "# TYPE sabre_serve_{name} histogram");
-        self.render_series(out, name, "");
+    fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
     }
 
-    /// The bucket/sum/count sample lines, each tagged with `extra_label`
-    /// (e.g. `phase="front",`) so several histograms can share one
-    /// HELP/TYPE block as a labeled family.
-    fn render_series(&self, out: &mut String, name: &str, extra_label: &str) {
+    fn max(&self) -> u64 {
+        self.max.load(Ordering::Relaxed)
+    }
+
+    /// Bucket-resolution quantile: the smallest bucket bound whose
+    /// cumulative count reaches `q·count` (the overflow bucket reports
+    /// the exact max). Resolution is a bucket width — adequate for a
+    /// scoreboard, constant memory per device.
+    fn quantile(&self, q: f64) -> u64 {
+        let count = self.count();
+        if count == 0 {
+            return 0;
+        }
+        let target = ((q * count as f64).ceil() as u64).clamp(1, count);
         let mut cumulative = 0u64;
-        for (idx, bound) in self.bounds.iter().enumerate() {
-            cumulative += self.buckets[idx].load(Ordering::Relaxed);
+        for (bucket, &bound) in self.buckets.iter().zip(self.bounds) {
+            cumulative += bucket.load(Ordering::Relaxed);
+            if cumulative >= target {
+                return bound.min(self.max());
+            }
+        }
+        self.max()
+    }
+
+    /// `{mean, p50, p95, max}` as a JSON object.
+    fn to_json(&self) -> JsonValue {
+        let mean = match self.count() {
+            0 => 0.0,
+            count => self.sum() as f64 / count as f64,
+        };
+        JsonValue::object([
+            ("mean", mean.into()),
+            ("p50", self.quantile(0.5).into()),
+            ("p95", self.quantile(0.95).into()),
+            ("max", self.max().into()),
+        ])
+    }
+
+    /// The bucket/sum/count sample lines, each tagged with `label`
+    /// (`key="value"`, or empty for an unlabeled family).
+    fn render_series(&self, out: &mut String, name: &str, label: &str) {
+        let le_prefix = if label.is_empty() {
+            String::new()
+        } else {
+            format!("{label},")
+        };
+        let mut cumulative = 0u64;
+        for (idx, bucket) in self.buckets.iter().enumerate() {
+            cumulative += bucket.load(Ordering::Relaxed);
+            let bound = self.bounds.get(idx).map_or("+Inf".into(), u64::to_string);
             let _ = writeln!(
                 out,
-                "sabre_serve_{name}_bucket{{{extra_label}le=\"{bound}\"}} {cumulative}"
+                "sabre_serve_{name}_bucket{{{le_prefix}le=\"{bound}\"}} {cumulative}"
             );
         }
-        cumulative += self.buckets[self.bounds.len()].load(Ordering::Relaxed);
-        let _ = writeln!(
-            out,
-            "sabre_serve_{name}_bucket{{{extra_label}le=\"+Inf\"}} {cumulative}"
-        );
-        let (sum_labels, count_labels) = if extra_label.is_empty() {
-            (String::new(), String::new())
-        } else {
-            let trimmed = extra_label.trim_end_matches(',');
-            (format!("{{{trimmed}}}"), format!("{{{trimmed}}}"))
-        };
-        let _ = writeln!(
-            out,
-            "sabre_serve_{name}_sum{sum_labels} {}",
-            self.sum.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "sabre_serve_{name}_count{count_labels} {}",
-            self.count.load(Ordering::Relaxed)
-        );
+        write_sample(out, &format!("{name}_sum"), label, self.sum());
+        write_sample(out, &format!("{name}_count"), label, self.count());
     }
 }
 
@@ -249,102 +317,16 @@ fn neg_milli_log(lsp: f64) -> u64 {
     }
 }
 
-/// A single-threaded fixed-bucket accumulator: the per-device flavor of
-/// [`Histogram`], kept behind the scoreboard's mutex instead of atomics
-/// because observations and quantile reads are both rare (once per
-/// routed circuit / once per `/debug/quality` scrape).
-#[derive(Debug)]
-struct Acc {
-    bounds: &'static [u64],
-    /// One slot per bound plus the overflow slot.
-    counts: Vec<u64>,
-    sum: u64,
-    count: u64,
-    max: u64,
-}
-
-impl Acc {
-    fn new(bounds: &'static [u64]) -> Self {
-        Acc {
-            bounds,
-            counts: vec![0; bounds.len() + 1],
-            sum: 0,
-            count: 0,
-            max: 0,
-        }
-    }
-
-    fn observe(&mut self, value: u64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&bound| value <= bound)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.count += 1;
-        self.max = self.max.max(value);
-    }
-
-    fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Bucket-resolution quantile: the smallest bucket bound whose
-    /// cumulative count reaches `q·count` (the overflow bucket reports
-    /// the exact max). Resolution is a bucket width — adequate for a
-    /// scoreboard, constant memory per device.
-    fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cumulative = 0u64;
-        for (idx, &bound) in self.bounds.iter().enumerate() {
-            cumulative += self.counts[idx];
-            if cumulative >= target {
-                return bound.min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// `{mean, p50, p95, max}` as a JSON object.
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("mean", self.mean().into()),
-            ("p50", self.quantile(0.5).into()),
-            ("p95", self.quantile(0.95).into()),
-            ("max", self.max.into()),
-        ])
-    }
-}
-
 /// Per-device quality aggregates since process start.
 #[derive(Debug)]
 struct DeviceQuality {
-    routes: u64,
-    swaps: Acc,
-    depth_overhead: Acc,
+    /// One observation per routed circuit, so its count is the device's
+    /// route count.
+    swaps: Histogram,
+    depth_overhead: Histogram,
     /// Negated milli-log success; only noise-aware routes observe.
-    neg_log_success_milli: Acc,
+    neg_log_success_milli: Histogram,
     log_success_sum: f64,
-}
-
-impl DeviceQuality {
-    fn new() -> Self {
-        DeviceQuality {
-            routes: 0,
-            swaps: Acc::new(&ROUTE_SWAPS_BUCKETS),
-            depth_overhead: Acc::new(&DEPTH_OVERHEAD_BUCKETS),
-            neg_log_success_milli: Acc::new(&NEG_MILLI_LOG_SUCCESS_BUCKETS),
-            log_success_sum: 0.0,
-        }
-    }
 }
 
 /// The `GET /debug/quality` scoreboard: per-device-id quality aggregates
@@ -360,8 +342,12 @@ impl QualityBoard {
         let mut devices = self.devices.lock().expect("quality board lock");
         let entry = devices
             .entry(device.to_string())
-            .or_insert_with(DeviceQuality::new);
-        entry.routes += 1;
+            .or_insert_with(|| DeviceQuality {
+                swaps: Histogram::new(&ROUTE_SWAPS_BUCKETS),
+                depth_overhead: Histogram::new(&DEPTH_OVERHEAD_BUCKETS),
+                neg_log_success_milli: Histogram::new(&NEG_MILLI_LOG_SUCCESS_BUCKETS),
+                log_success_sum: 0.0,
+            });
         entry.swaps.observe(quality.num_swaps as u64);
         entry.depth_overhead.observe(quality.depth_overhead as u64);
         if let Some(lsp) = quality.log_success_probability {
@@ -372,18 +358,20 @@ impl QualityBoard {
 
     /// The scoreboard as a deterministic JSON object (devices sorted by
     /// id). Fidelity quantiles are decoded back from the milli-nat
-    /// accumulator, so `p50 ≥ p95` in log space (less negative = better).
+    /// histogram, so `p50 ≥ p95` in log space (less negative = better).
     pub fn to_json(&self) -> JsonValue {
         let devices = self.devices.lock().expect("quality board lock");
+        let log = |milli: u64| JsonValue::from(-(milli as f64) / 1000.0);
         JsonValue::object([(
             "devices",
             devices
                 .iter()
                 .map(|(id, d)| {
-                    let noise_routes = d.neg_log_success_milli.count;
+                    let fidelity = &d.neg_log_success_milli;
+                    let noise_routes = fidelity.count();
                     JsonValue::object([
                         ("device", id.as_str().into()),
-                        ("count", d.routes.into()),
+                        ("count", d.swaps.count().into()),
                         ("swaps", d.swaps.to_json()),
                         ("depth_overhead", d.depth_overhead.to_json()),
                         (
@@ -394,20 +382,9 @@ impl QualityBoard {
                                 JsonValue::object([
                                     ("count", noise_routes.into()),
                                     ("mean", (d.log_success_sum / noise_routes as f64).into()),
-                                    (
-                                        "p50",
-                                        (-(d.neg_log_success_milli.quantile(0.5) as f64) / 1000.0)
-                                            .into(),
-                                    ),
-                                    (
-                                        "p95",
-                                        (-(d.neg_log_success_milli.quantile(0.95) as f64) / 1000.0)
-                                            .into(),
-                                    ),
-                                    (
-                                        "min",
-                                        (-(d.neg_log_success_milli.max as f64) / 1000.0).into(),
-                                    ),
+                                    ("p50", log(fidelity.quantile(0.5))),
+                                    ("p95", log(fidelity.quantile(0.95))),
+                                    ("min", log(fidelity.max())),
                                 ])
                             },
                         ),
@@ -415,37 +392,6 @@ impl QualityBoard {
                 })
                 .collect(),
         )])
-    }
-
-    /// Renders the per-device Prometheus counter families.
-    fn render(&self, out: &mut String) {
-        let devices = self.devices.lock().expect("quality board lock");
-        let _ = writeln!(
-            out,
-            "# HELP sabre_serve_device_routes_total Circuits routed per device id."
-        );
-        let _ = writeln!(out, "# TYPE sabre_serve_device_routes_total counter");
-        for (id, d) in devices.iter() {
-            let _ = writeln!(
-                out,
-                "sabre_serve_device_routes_total{{device=\"{}\"}} {}",
-                escape_label(id),
-                d.routes
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP sabre_serve_device_swaps_total SWAPs inserted per device id."
-        );
-        let _ = writeln!(out, "# TYPE sabre_serve_device_swaps_total counter");
-        for (id, d) in devices.iter() {
-            let _ = writeln!(
-                out,
-                "sabre_serve_device_swaps_total{{device=\"{}\"}} {}",
-                escape_label(id),
-                d.swaps.sum
-            );
-        }
     }
 }
 
@@ -463,41 +409,20 @@ fn escape_label(value: &str) -> String {
     out
 }
 
+/// One sample line; `label` is `key="value"`, or empty for none.
+fn write_sample(out: &mut String, name: &str, label: &str, value: u64) {
+    let _ = if label.is_empty() {
+        writeln!(out, "sabre_serve_{name} {value}")
+    } else {
+        writeln!(out, "sabre_serve_{name}{{{label}}} {value}")
+    };
+}
+
 impl Default for Metrics {
     fn default() -> Self {
         Metrics {
-            requests_route: AtomicU64::new(0),
-            requests_sharded: AtomicU64::new(0),
-            requests_batch: AtomicU64::new(0),
-            requests_devices: AtomicU64::new(0),
-            requests_fleets: AtomicU64::new(0),
-            requests_noise: AtomicU64::new(0),
-            requests_healthz: AtomicU64::new(0),
-            requests_metrics: AtomicU64::new(0),
-            queue_rejections: AtomicU64::new(0),
-            jobs_admitted: AtomicU64::new(0),
-            jobs_completed: AtomicU64::new(0),
-            jobs_failed: AtomicU64::new(0),
-            circuits_routed: AtomicU64::new(0),
-            routing_ns_total: AtomicU64::new(0),
-            routing_steps_total: AtomicU64::new(0),
-            last_route_ns_per_step: AtomicU64::new(0),
-            queue_wait_ns_total: AtomicU64::new(0),
-            reaped_read_deadline: AtomicU64::new(0),
-            reaped_write_deadline: AtomicU64::new(0),
-            reaped_idle: AtomicU64::new(0),
-            shed_rate_limited: AtomicU64::new(0),
-            shed_predicted_slo: AtomicU64::new(0),
-            shed_table_full: AtomicU64::new(0),
-            predicted_wait_ms: Histogram::new(&PREDICTED_WAIT_BUCKETS_MS),
-            plan_cache_inline_hits: AtomicU64::new(0),
-            rebind_ns: Histogram::new(&REBIND_NS_BUCKETS),
-            route_phase_front_ns: Histogram::new(&ROUTE_PHASE_NS_BUCKETS),
-            route_phase_extended_set_ns: Histogram::new(&ROUTE_PHASE_NS_BUCKETS),
-            route_phase_scoring_ns: Histogram::new(&ROUTE_PHASE_NS_BUCKETS),
-            route_swaps: Histogram::new(&ROUTE_SWAPS_BUCKETS),
-            route_depth_overhead: Histogram::new(&DEPTH_OVERHEAD_BUCKETS),
-            route_log_success_probability: Histogram::new(&NEG_MILLI_LOG_SUCCESS_BUCKETS),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            histograms: Hist::ALL.map(|hist| Histogram::new(hist.bounds())),
             quality: QualityBoard::default(),
         }
     }
@@ -524,30 +449,210 @@ pub struct GaugeSnapshot {
     pub max_connections: usize,
 }
 
-/// One `HELP`/`TYPE`/sample triple.
-fn metric(out: &mut String, name: &str, kind: &str, help: &str, value: u64) {
-    let _ = writeln!(out, "# HELP sabre_serve_{name} {help}");
-    let _ = writeln!(out, "# TYPE sabre_serve_{name} {kind}");
-    let _ = writeln!(out, "sabre_serve_{name} {value}");
+/// Everything one scrape reads: the stores plus the owners' snapshots.
+struct Scrape<'a> {
+    metrics: &'a Metrics,
+    gauges: GaugeSnapshot,
+    cache: DeviceCacheStats,
+    plans: PlanCacheStats,
 }
+
+/// Where a sample's value comes from at scrape time.
+#[derive(Clone, Copy)]
+enum Source {
+    /// A stored counter.
+    Stored(Counter),
+    /// A snapshot field, or a value derived from the stores.
+    Scraped(fn(&Scrape<'_>) -> u64),
+    /// A fleet-wide histogram.
+    Histogram(Hist),
+}
+
+/// The series of one family.
+#[derive(Clone, Copy)]
+enum Series {
+    /// One unlabeled series.
+    One(Source),
+    /// One series per fixed value of the label key.
+    Labeled(&'static str, &'static [(&'static str, Source)]),
+    /// One `device="<id>"` series per scoreboard device, sorted by id.
+    PerDevice(fn(&DeviceQuality) -> u64),
+}
+
+/// One exported family, `sabre_serve_{name}`.
+struct Family {
+    name: &'static str,
+    /// The Prometheus `TYPE`: `counter`, `gauge` or `histogram`.
+    kind: &'static str,
+    help: &'static str,
+    series: Series,
+}
+
+const fn family(
+    name: &'static str,
+    kind: &'static str,
+    help: &'static str,
+    series: Series,
+) -> Family {
+    Family {
+        name,
+        kind,
+        help,
+        series,
+    }
+}
+
+use Series::{Labeled, One, PerDevice};
+use Source::{Scraped, Stored};
+
+/// Every family `/metrics` exports, in exposition order: the one list
+/// of exported names (kept compact by hand so each row reads as one
+/// declaration).
+#[rustfmt::skip]
+static FAMILIES: &[Family] = &[
+    family("queue_depth", "gauge", "Jobs waiting in the admission queue.",
+        One(Scraped(|s| s.gauges.queue_depth as u64))),
+    family("queue_capacity", "gauge", "Admission queue capacity.",
+        One(Scraped(|s| s.gauges.queue_capacity as u64))),
+    family("workers", "gauge", "Routing worker threads.",
+        One(Scraped(|s| s.gauges.workers as u64))),
+    family("devices_registered", "gauge", "Devices currently registered.",
+        One(Scraped(|s| s.gauges.devices as u64))),
+    family("fleets_registered", "gauge", "Fleets currently registered.",
+        One(Scraped(|s| s.gauges.fleets as u64))),
+    family("draining", "gauge", "1 once shutdown has begun.",
+        One(Scraped(|s| u64::from(s.gauges.draining)))),
+    family("open_connections", "gauge", "Connections currently held in the reactor's table.",
+        One(Scraped(|s| s.gauges.open_connections as u64))),
+    family("max_connections", "gauge", "Connection-table capacity.",
+        One(Scraped(|s| s.gauges.max_connections as u64))),
+    family("requests_total", "counter", "HTTP requests by endpoint.", Labeled("endpoint", &[
+        ("route", Stored(Counter::RequestsRoute)),
+        ("route_sharded", Stored(Counter::RequestsSharded)),
+        ("transpile_batch", Stored(Counter::RequestsBatch)),
+        ("devices", Stored(Counter::RequestsDevices)),
+        ("fleets", Stored(Counter::RequestsFleets)),
+        ("noise", Stored(Counter::RequestsNoise)),
+        ("healthz", Stored(Counter::RequestsHealthz)),
+        ("metrics", Stored(Counter::RequestsMetrics)),
+    ])),
+    family("queue_rejections_total", "counter", "Admissions rejected with 503 (queue full).",
+        One(Stored(Counter::QueueRejections))),
+    family("jobs_admitted_total", "counter", "Jobs accepted into the queue.",
+        One(Stored(Counter::JobsAdmitted))),
+    family("jobs_completed_total", "counter", "Jobs that produced a 2xx response.",
+        One(Stored(Counter::JobsCompleted))),
+    family("jobs_failed_total", "counter", "Jobs that produced an error response.",
+        One(Stored(Counter::JobsFailed))),
+    family("circuits_routed_total", "counter",
+        "Circuits routed successfully (batch slots counted individually).",
+        One(Stored(Counter::CircuitsRouted))),
+    family("routing_ns_total", "counter", "Wall nanoseconds spent routing.",
+        One(Stored(Counter::RoutingNsTotal))),
+    family("routing_steps_total", "counter",
+        "Search steps executed (all traversals of all restarts).",
+        One(Stored(Counter::RoutingStepsTotal))),
+    family("avg_route_ns_per_step", "gauge", "Mean ns per search step over the process lifetime.",
+        One(Scraped(|s| s.metrics.avg_ns_per_step()))),
+    family("last_route_ns_per_step", "gauge", "ns per search step of the most recent /route job.",
+        One(Stored(Counter::LastRouteNsPerStep))),
+    family("queue_wait_ns_total", "counter", "Nanoseconds jobs spent waiting in the queue.",
+        One(Stored(Counter::QueueWaitNsTotal))),
+    family("connections_reaped_total", "counter",
+        "Connections closed by a deadline or idle timeout.", Labeled("reason", &[
+        ("read_deadline", Stored(Counter::ReapedReadDeadline)),
+        ("write_deadline", Stored(Counter::ReapedWriteDeadline)),
+        ("idle", Stored(Counter::ReapedIdle)),
+    ])),
+    family("admission_rejections_total", "counter",
+        "Requests shed before queueing, by cause.", Labeled("kind", &[
+        // queue_full mirrors the legacy queue_rejections counter so the
+        // labeled family is complete without double-counting.
+        ("queue_full", Stored(Counter::QueueRejections)),
+        ("rate_limited", Stored(Counter::ShedRateLimited)),
+        ("predicted_slo", Stored(Counter::ShedPredictedSlo)),
+        ("table_full", Stored(Counter::ShedTableFull)),
+    ])),
+    family("admission_predicted_wait_ms", "histogram",
+        "Projected queue wait (ms) computed at admission time.",
+        One(Source::Histogram(Hist::PredictedWaitMs))),
+    family("cache_graph_hits_total", "counter", "DeviceCache router acquisitions served warm.",
+        One(Scraped(|s| s.cache.graph_hits))),
+    family("cache_graph_misses_total", "counter",
+        "DeviceCache acquisitions that ran full preprocessing.",
+        One(Scraped(|s| s.cache.graph_misses))),
+    family("cache_noise_hits_total", "counter", "Noise-weighted matrices served warm.",
+        One(Scraped(|s| s.cache.noise_hits))),
+    family("cache_noise_misses_total", "counter", "Noise-weighted matrices computed.",
+        One(Scraped(|s| s.cache.noise_misses))),
+    family("cache_embedding_hits_total", "counter", "Perfect-placement probe verdicts served warm.",
+        One(Scraped(|s| s.cache.embedding_hits))),
+    family("cache_embedding_misses_total", "counter", "Probe verdicts computed by backtracking.",
+        One(Scraped(|s| s.cache.embedding_misses))),
+    family("plan_cache_hits_total", "counter",
+        "Routed-plan lookups served by parameter re-binding.",
+        One(Scraped(|s| s.plans.hits))),
+    family("plan_cache_misses_total", "counter",
+        "Routed-plan lookups that fell through to a full route.",
+        One(Scraped(|s| s.plans.misses))),
+    family("plan_cache_evictions_total", "counter",
+        "Routed plans evicted by the LRU capacity bound.",
+        One(Scraped(|s| s.plans.evictions))),
+    family("plan_cache_entries", "gauge", "Routed plans currently cached.",
+        One(Scraped(|s| s.plans.entries as u64))),
+    family("plan_cache_approx_bytes", "gauge",
+        "Estimated heap bytes held by cached routed plans.",
+        One(Scraped(|s| s.plans.approx_bytes))),
+    family("plan_cache_inline_hits_total", "counter",
+        "/route requests answered inline from the plan cache.",
+        One(Stored(Counter::PlanCacheInlineHits))),
+    family("rebind_ns", "histogram", "Parameter re-bind latency (ns) for plan-cache hits.",
+        One(Source::Histogram(Hist::RebindNs))),
+    family("route_phase_ns", "histogram",
+        "Hot-loop time per routing phase (ns), from profiled /route jobs.", Labeled("phase", &[
+        ("front", Source::Histogram(Hist::PhaseFrontNs)),
+        ("extended_set", Source::Histogram(Hist::PhaseExtendedSetNs)),
+        ("scoring", Source::Histogram(Hist::PhaseScoringNs)),
+    ])),
+    family("route_swaps", "histogram", "SWAPs inserted per routed circuit.",
+        One(Source::Histogram(Hist::RouteSwaps))),
+    family("route_depth_overhead", "histogram", "Depth overhead (added layers) per routed circuit.",
+        One(Source::Histogram(Hist::RouteDepthOverhead))),
+    family("route_log_success_probability", "histogram",
+        "Negated milli-log success probability per noise-aware routed circuit (1000 = log p of -1).",
+        One(Source::Histogram(Hist::RouteLogSuccess))),
+    family("device_routes_total", "counter", "Circuits routed per device id.",
+        PerDevice(|d| d.swaps.count())),
+    family("device_swaps_total", "counter", "SWAPs inserted per device id.",
+        PerDevice(|d| d.swaps.sum())),
+];
 
 impl Metrics {
     /// Bumps a counter (relaxed; these are statistics, not synchronization).
-    pub fn add(counter: &AtomicU64, delta: u64) {
-        counter.fetch_add(delta, Ordering::Relaxed);
+    pub fn add(&self, counter: Counter, delta: u64) {
+        self.counters[counter as usize].fetch_add(delta, Ordering::Relaxed);
+    }
+
+    fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
+    }
+
+    fn histogram(&self, hist: Hist) -> &Histogram {
+        &self.histograms[hist as usize]
+    }
+
+    /// Records one observation in a fleet-wide histogram.
+    pub fn observe(&self, hist: Hist, value: u64) {
+        self.histogram(hist).observe(value);
     }
 
     /// Records one successful routing call in the admission telemetry.
     pub fn record_routing(&self, elapsed_ns: u128, steps: usize, ns_per_step: u128) {
-        Metrics::add(
-            &self.routing_ns_total,
-            elapsed_ns.min(u128::from(u64::MAX)) as u64,
-        );
-        Metrics::add(&self.routing_steps_total, steps as u64);
-        self.last_route_ns_per_step.store(
-            ns_per_step.min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
+        let saturate = |ns: u128| ns.min(u128::from(u64::MAX)) as u64;
+        self.add(Counter::RoutingNsTotal, saturate(elapsed_ns));
+        self.add(Counter::RoutingStepsTotal, steps as u64);
+        self.counters[Counter::LastRouteNsPerStep as usize]
+            .store(saturate(ns_per_step), Ordering::Relaxed);
     }
 
     /// Records the quality of one routed circuit: the three fleet-wide
@@ -555,12 +660,10 @@ impl Metrics {
     /// the hot loop; batch slots and shards are observed individually
     /// under their own device id.
     pub fn observe_quality(&self, device: &str, quality: &PlanQuality) {
-        self.route_swaps.observe(quality.num_swaps as u64);
-        self.route_depth_overhead
-            .observe(quality.depth_overhead as u64);
+        self.observe(Hist::RouteSwaps, quality.num_swaps as u64);
+        self.observe(Hist::RouteDepthOverhead, quality.depth_overhead as u64);
         if let Some(lsp) = quality.log_success_probability {
-            self.route_log_success_probability
-                .observe(neg_milli_log(lsp));
+            self.observe(Hist::RouteLogSuccess, neg_milli_log(lsp));
         }
         self.quality.observe(device, quality);
     }
@@ -569,339 +672,58 @@ impl Metrics {
     /// price admission control multiplies predicted steps by. `0` until
     /// the first routing job completes (no observation, no model).
     pub fn avg_ns_per_step(&self) -> u64 {
-        let steps = self.routing_steps_total.load(Ordering::Relaxed);
-        self.routing_ns_total
-            .load(Ordering::Relaxed)
-            .checked_div(steps)
+        self.get(Counter::RoutingNsTotal)
+            .checked_div(self.get(Counter::RoutingStepsTotal))
             .unwrap_or(0)
     }
 
-    /// Renders the Prometheus exposition text.
+    /// Renders the Prometheus exposition text: one `HELP`/`TYPE` block
+    /// per row of [`FAMILIES`], then that family's series.
     pub fn render(
         &self,
         gauges: GaugeSnapshot,
         cache: DeviceCacheStats,
         plans: PlanCacheStats,
     ) -> String {
+        let scrape = Scrape {
+            metrics: self,
+            gauges,
+            cache,
+            plans,
+        };
         let mut out = String::new();
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-
-        metric(
-            &mut out,
-            "queue_depth",
-            "gauge",
-            "Jobs waiting in the admission queue.",
-            gauges.queue_depth as u64,
-        );
-        metric(
-            &mut out,
-            "queue_capacity",
-            "gauge",
-            "Admission queue capacity.",
-            gauges.queue_capacity as u64,
-        );
-        metric(
-            &mut out,
-            "workers",
-            "gauge",
-            "Routing worker threads.",
-            gauges.workers as u64,
-        );
-        metric(
-            &mut out,
-            "devices_registered",
-            "gauge",
-            "Devices currently registered.",
-            gauges.devices as u64,
-        );
-        metric(
-            &mut out,
-            "fleets_registered",
-            "gauge",
-            "Fleets currently registered.",
-            gauges.fleets as u64,
-        );
-        metric(
-            &mut out,
-            "draining",
-            "gauge",
-            "1 once shutdown has begun.",
-            u64::from(gauges.draining),
-        );
-        metric(
-            &mut out,
-            "open_connections",
-            "gauge",
-            "Connections currently held in the reactor's table.",
-            gauges.open_connections as u64,
-        );
-        metric(
-            &mut out,
-            "max_connections",
-            "gauge",
-            "Connection-table capacity.",
-            gauges.max_connections as u64,
-        );
-
-        // The labeled request family shares one HELP/TYPE block.
-        let _ = writeln!(
-            out,
-            "# HELP sabre_serve_requests_total HTTP requests by endpoint."
-        );
-        let _ = writeln!(out, "# TYPE sabre_serve_requests_total counter");
-        for (endpoint, counter) in [
-            ("route", &self.requests_route),
-            ("route_sharded", &self.requests_sharded),
-            ("transpile_batch", &self.requests_batch),
-            ("devices", &self.requests_devices),
-            ("fleets", &self.requests_fleets),
-            ("noise", &self.requests_noise),
-            ("healthz", &self.requests_healthz),
-            ("metrics", &self.requests_metrics),
-        ] {
-            let _ = writeln!(
-                out,
-                "sabre_serve_requests_total{{endpoint=\"{endpoint}\"}} {}",
-                load(counter)
-            );
+        for family in FAMILIES {
+            let name = family.name;
+            let _ = writeln!(out, "# HELP sabre_serve_{name} {}", family.help);
+            let _ = writeln!(out, "# TYPE sabre_serve_{name} {}", family.kind);
+            match family.series {
+                One(source) => scrape.render_series(&mut out, name, "", source),
+                Labeled(key, values) => {
+                    for &(value, source) in values {
+                        let label = format!("{key}=\"{value}\"");
+                        scrape.render_series(&mut out, name, &label, source);
+                    }
+                }
+                PerDevice(value) => {
+                    let devices = self.quality.devices.lock().expect("quality board lock");
+                    for (id, d) in devices.iter() {
+                        let label = format!("device=\"{}\"", escape_label(id));
+                        write_sample(&mut out, name, &label, value(d));
+                    }
+                }
+            }
         }
-
-        metric(
-            &mut out,
-            "queue_rejections_total",
-            "counter",
-            "Admissions rejected with 503 (queue full).",
-            load(&self.queue_rejections),
-        );
-        metric(
-            &mut out,
-            "jobs_admitted_total",
-            "counter",
-            "Jobs accepted into the queue.",
-            load(&self.jobs_admitted),
-        );
-        metric(
-            &mut out,
-            "jobs_completed_total",
-            "counter",
-            "Jobs that produced a 2xx response.",
-            load(&self.jobs_completed),
-        );
-        metric(
-            &mut out,
-            "jobs_failed_total",
-            "counter",
-            "Jobs that produced an error response.",
-            load(&self.jobs_failed),
-        );
-        metric(
-            &mut out,
-            "circuits_routed_total",
-            "counter",
-            "Circuits routed successfully (batch slots counted individually).",
-            load(&self.circuits_routed),
-        );
-        metric(
-            &mut out,
-            "routing_ns_total",
-            "counter",
-            "Wall nanoseconds spent routing.",
-            load(&self.routing_ns_total),
-        );
-        metric(
-            &mut out,
-            "routing_steps_total",
-            "counter",
-            "Search steps executed (all traversals of all restarts).",
-            load(&self.routing_steps_total),
-        );
-        let steps = load(&self.routing_steps_total);
-        metric(
-            &mut out,
-            "avg_route_ns_per_step",
-            "gauge",
-            "Mean ns per search step over the process lifetime.",
-            load(&self.routing_ns_total).checked_div(steps).unwrap_or(0),
-        );
-        metric(
-            &mut out,
-            "last_route_ns_per_step",
-            "gauge",
-            "ns per search step of the most recent /route job.",
-            load(&self.last_route_ns_per_step),
-        );
-        metric(
-            &mut out,
-            "queue_wait_ns_total",
-            "counter",
-            "Nanoseconds jobs spent waiting in the queue.",
-            load(&self.queue_wait_ns_total),
-        );
-
-        // Labeled families: reap reasons and admission-rejection kinds.
-        let _ = writeln!(
-            out,
-            "# HELP sabre_serve_connections_reaped_total Connections closed by a deadline or idle timeout."
-        );
-        let _ = writeln!(out, "# TYPE sabre_serve_connections_reaped_total counter");
-        for (reason, counter) in [
-            ("read_deadline", &self.reaped_read_deadline),
-            ("write_deadline", &self.reaped_write_deadline),
-            ("idle", &self.reaped_idle),
-        ] {
-            let _ = writeln!(
-                out,
-                "sabre_serve_connections_reaped_total{{reason=\"{reason}\"}} {}",
-                load(counter)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP sabre_serve_admission_rejections_total Requests shed before queueing, by cause."
-        );
-        let _ = writeln!(out, "# TYPE sabre_serve_admission_rejections_total counter");
-        for (kind, value) in [
-            // queue_full mirrors the legacy queue_rejections counter so
-            // the labeled family is complete without double-counting.
-            ("queue_full", load(&self.queue_rejections)),
-            ("rate_limited", load(&self.shed_rate_limited)),
-            ("predicted_slo", load(&self.shed_predicted_slo)),
-            ("table_full", load(&self.shed_table_full)),
-        ] {
-            let _ = writeln!(
-                out,
-                "sabre_serve_admission_rejections_total{{kind=\"{kind}\"}} {value}"
-            );
-        }
-        self.predicted_wait_ms.render(
-            &mut out,
-            "admission_predicted_wait_ms",
-            "Projected queue wait (ms) computed at admission time.",
-        );
-
-        metric(
-            &mut out,
-            "cache_graph_hits_total",
-            "counter",
-            "DeviceCache router acquisitions served warm.",
-            cache.graph_hits,
-        );
-        metric(
-            &mut out,
-            "cache_graph_misses_total",
-            "counter",
-            "DeviceCache acquisitions that ran full preprocessing.",
-            cache.graph_misses,
-        );
-        metric(
-            &mut out,
-            "cache_noise_hits_total",
-            "counter",
-            "Noise-weighted matrices served warm.",
-            cache.noise_hits,
-        );
-        metric(
-            &mut out,
-            "cache_noise_misses_total",
-            "counter",
-            "Noise-weighted matrices computed.",
-            cache.noise_misses,
-        );
-        metric(
-            &mut out,
-            "cache_embedding_hits_total",
-            "counter",
-            "Perfect-placement probe verdicts served warm.",
-            cache.embedding_hits,
-        );
-        metric(
-            &mut out,
-            "cache_embedding_misses_total",
-            "counter",
-            "Probe verdicts computed by backtracking.",
-            cache.embedding_misses,
-        );
-
-        metric(
-            &mut out,
-            "plan_cache_hits_total",
-            "counter",
-            "Routed-plan lookups served by parameter re-binding.",
-            plans.hits,
-        );
-        metric(
-            &mut out,
-            "plan_cache_misses_total",
-            "counter",
-            "Routed-plan lookups that fell through to a full route.",
-            plans.misses,
-        );
-        metric(
-            &mut out,
-            "plan_cache_evictions_total",
-            "counter",
-            "Routed plans evicted by the LRU capacity bound.",
-            plans.evictions,
-        );
-        metric(
-            &mut out,
-            "plan_cache_entries",
-            "gauge",
-            "Routed plans currently cached.",
-            plans.entries as u64,
-        );
-        metric(
-            &mut out,
-            "plan_cache_approx_bytes",
-            "gauge",
-            "Estimated heap bytes held by cached routed plans.",
-            plans.approx_bytes,
-        );
-        metric(
-            &mut out,
-            "plan_cache_inline_hits_total",
-            "counter",
-            "/route requests answered inline from the plan cache.",
-            load(&self.plan_cache_inline_hits),
-        );
-        self.rebind_ns.render(
-            &mut out,
-            "rebind_ns",
-            "Parameter re-bind latency (ns) for plan-cache hits.",
-        );
-
-        // The routing-phase family shares one HELP/TYPE block; each
-        // phase is a labeled series fed by `/route?profile=true` jobs.
-        let _ = writeln!(
-            out,
-            "# HELP sabre_serve_route_phase_ns Hot-loop time per routing phase (ns), from profiled /route jobs."
-        );
-        let _ = writeln!(out, "# TYPE sabre_serve_route_phase_ns histogram");
-        for (phase, histogram) in [
-            ("front", &self.route_phase_front_ns),
-            ("extended_set", &self.route_phase_extended_set_ns),
-            ("scoring", &self.route_phase_scoring_ns),
-        ] {
-            histogram.render_series(&mut out, "route_phase_ns", &format!("phase=\"{phase}\","));
-        }
-
-        self.route_swaps.render(
-            &mut out,
-            "route_swaps",
-            "SWAPs inserted per routed circuit.",
-        );
-        self.route_depth_overhead.render(
-            &mut out,
-            "route_depth_overhead",
-            "Depth overhead (added layers) per routed circuit.",
-        );
-        self.route_log_success_probability.render(
-            &mut out,
-            "route_log_success_probability",
-            "Negated milli-log success probability per noise-aware routed circuit (1000 = log p of -1).",
-        );
-        self.quality.render(&mut out);
         out
+    }
+}
+
+impl Scrape<'_> {
+    fn render_series(&self, out: &mut String, name: &str, label: &str, source: Source) {
+        match source {
+            Stored(counter) => write_sample(out, name, label, self.metrics.get(counter)),
+            Scraped(read) => write_sample(out, name, label, read(self)),
+            Source::Histogram(hist) => self.metrics.histogram(hist).render_series(out, name, label),
+        }
     }
 }
 
@@ -912,19 +734,19 @@ mod tests {
     #[test]
     fn render_contains_gauges_counters_and_derived_values() {
         let m = Metrics::default();
-        Metrics::add(&m.requests_route, 3);
-        Metrics::add(&m.queue_rejections, 1);
-        Metrics::add(&m.reaped_idle, 2);
-        Metrics::add(&m.shed_predicted_slo, 4);
+        m.add(Counter::RequestsRoute, 3);
+        m.add(Counter::QueueRejections, 1);
+        m.add(Counter::ReapedIdle, 2);
+        m.add(Counter::ShedPredictedSlo, 4);
         m.record_routing(1000, 10, 100);
         m.record_routing(3000, 10, 300);
-        m.predicted_wait_ms.observe(3);
-        m.predicted_wait_ms.observe(40);
-        m.predicted_wait_ms.observe(9999);
-        Metrics::add(&m.plan_cache_inline_hits, 5);
-        m.rebind_ns.observe(4_200);
-        m.route_phase_front_ns.observe(2_000_000);
-        m.route_phase_scoring_ns.observe(9_000_000);
+        m.observe(Hist::PredictedWaitMs, 3);
+        m.observe(Hist::PredictedWaitMs, 40);
+        m.observe(Hist::PredictedWaitMs, 9999);
+        m.add(Counter::PlanCacheInlineHits, 5);
+        m.observe(Hist::RebindNs, 4_200);
+        m.observe(Hist::PhaseFrontNs, 2_000_000);
+        m.observe(Hist::PhaseScoringNs, 9_000_000);
         let text = m.render(
             GaugeSnapshot {
                 queue_depth: 2,
@@ -990,11 +812,11 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative() {
         let m = Metrics::default();
-        m.predicted_wait_ms.observe(0); // le="1"
-        m.predicted_wait_ms.observe(1); // le="1" (bounds are inclusive)
-        m.predicted_wait_ms.observe(30); // le="50"
-        m.predicted_wait_ms.observe(1_000_000); // +Inf overflow
-        assert_eq!(m.predicted_wait_ms.count(), 4);
+        m.observe(Hist::PredictedWaitMs, 0); // le="1"
+        m.observe(Hist::PredictedWaitMs, 1); // le="1" (bounds are inclusive)
+        m.observe(Hist::PredictedWaitMs, 30); // le="50"
+        m.observe(Hist::PredictedWaitMs, 1_000_000); // +Inf overflow
+        assert_eq!(m.histogram(Hist::PredictedWaitMs).count(), 4);
         let text = m.render(
             GaugeSnapshot {
                 queue_depth: 0,
@@ -1122,45 +944,19 @@ mod tests {
     /// ids needs label escaping.
     fn populated() -> Metrics {
         let m = Metrics::default();
-        let counters = [
-            &m.requests_route,
-            &m.requests_sharded,
-            &m.requests_batch,
-            &m.requests_devices,
-            &m.requests_fleets,
-            &m.requests_noise,
-            &m.requests_healthz,
-            &m.requests_metrics,
-            &m.queue_rejections,
-            &m.jobs_admitted,
-            &m.jobs_completed,
-            &m.jobs_failed,
-            &m.circuits_routed,
-            &m.routing_ns_total,
-            &m.routing_steps_total,
-            &m.last_route_ns_per_step,
-            &m.queue_wait_ns_total,
-            &m.reaped_read_deadline,
-            &m.reaped_write_deadline,
-            &m.reaped_idle,
-            &m.shed_rate_limited,
-            &m.shed_predicted_slo,
-            &m.shed_table_full,
-            &m.plan_cache_inline_hits,
-        ];
-        for (i, counter) in counters.into_iter().enumerate() {
-            Metrics::add(counter, 10 + i as u64);
+        for (i, counter) in m.counters.iter().enumerate() {
+            counter.fetch_add(10 + i as u64, Ordering::Relaxed);
         }
         m.record_routing(123_456, 789, 156);
         for (histogram, values) in [
-            (&m.predicted_wait_ms, &[0, 7, 300, 99_999][..]),
-            (&m.rebind_ns, &[900, 4_200, 2_000_000_000]),
-            (&m.route_phase_front_ns, &[5_000, 2_000_000]),
-            (&m.route_phase_extended_set_ns, &[50_000]),
-            (&m.route_phase_scoring_ns, &[9_000_000, 200_000_000_000]),
+            (Hist::PredictedWaitMs, &[0, 7, 300, 99_999][..]),
+            (Hist::RebindNs, &[900, 4_200, 2_000_000_000]),
+            (Hist::PhaseFrontNs, &[5_000, 2_000_000]),
+            (Hist::PhaseExtendedSetNs, &[50_000]),
+            (Hist::PhaseScoringNs, &[9_000_000, 200_000_000_000]),
         ] {
             for &value in values {
-                histogram.observe(value);
+                m.observe(histogram, value);
             }
         }
         m.observe_quality("tokyo20", &quality(4, 9, Some(-0.5)));
@@ -1206,6 +1002,49 @@ mod tests {
             assert_eq!(got, want, "exposition line {}", line + 1);
         }
         assert_eq!(text, expected);
+    }
+
+    /// Exposition hygiene for every registry row: a legal, unique
+    /// Prometheus name, a known type, and exactly one `HELP` and one
+    /// `TYPE` line in the rendered text.
+    #[test]
+    fn every_family_renders_one_help_and_type_line() {
+        let m = populated();
+        let text = m.render(
+            GaugeSnapshot {
+                queue_depth: 0,
+                queue_capacity: 1,
+                workers: 1,
+                devices: 2,
+                fleets: 0,
+                draining: false,
+                open_connections: 0,
+                max_connections: 1,
+            },
+            DeviceCacheStats::default(),
+            PlanCacheStats::default(),
+        );
+        let mut names = std::collections::HashSet::new();
+        for family in FAMILIES {
+            let name = family.name;
+            assert!(names.insert(name), "{name} declared twice");
+            let mut chars = name.chars();
+            assert!(chars
+                .next()
+                .is_some_and(|c| c.is_ascii_alphabetic() || c == '_'));
+            assert!(
+                chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
+                "{name} uses an illegal character"
+            );
+            assert!(["counter", "gauge", "histogram"].contains(&family.kind));
+            for tag in ["HELP", "TYPE"] {
+                let prefix = format!("# {tag} sabre_serve_{name} ");
+                let lines = text.lines().filter(|l| l.starts_with(&prefix)).count();
+                assert_eq!(lines, 1, "{prefix}");
+            }
+        }
+        let blocks = text.lines().filter(|l| l.starts_with("# TYPE ")).count();
+        assert_eq!(blocks, FAMILIES.len(), "every block comes from one row");
     }
 
     /// `/debug/quality` for [`populated`], byte for byte.

@@ -6,6 +6,12 @@ use sabre_circuit::{Circuit, Gate, OneQubitKind, Params, Qubit, TwoQubitKind};
 use crate::lexer::{lex, Token, TokenKind};
 use crate::QasmError;
 
+/// Maximum nesting of parentheses and unary signs in one parameter
+/// expression — the recursive-descent evaluator recurses once per level,
+/// so this bounds its stack use against adversarial input like
+/// `rz((((…` or `rz(----…`.
+const MAX_EXPRESSION_DEPTH: usize = 128;
+
 /// Result of parsing a full OpenQASM program, including what was skipped.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParsedProgram {
@@ -261,7 +267,7 @@ impl Parser {
             self.advance();
             if self.peek().kind != TokenKind::RParen {
                 loop {
-                    params.push(self.expression()?);
+                    params.push(self.expression(0)?);
                     if self.peek().kind == TokenKind::Comma {
                         self.advance();
                     } else {
@@ -390,17 +396,20 @@ impl Parser {
     }
 
     /// expr := term (('+'|'-') term)*
-    fn expression(&mut self) -> Result<f64, QasmError> {
-        let mut value = self.term()?;
+    ///
+    /// `depth` counts the open parentheses and unary signs enclosing this
+    /// expression; see [`MAX_EXPRESSION_DEPTH`].
+    fn expression(&mut self, depth: usize) -> Result<f64, QasmError> {
+        let mut value = self.term(depth)?;
         loop {
             match self.peek().kind {
                 TokenKind::Plus => {
                     self.advance();
-                    value += self.term()?;
+                    value += self.term(depth)?;
                 }
                 TokenKind::Minus => {
                     self.advance();
-                    value -= self.term()?;
+                    value -= self.term(depth)?;
                 }
                 _ => return Ok(value),
             }
@@ -408,17 +417,17 @@ impl Parser {
     }
 
     /// term := factor (('*'|'/') factor)*
-    fn term(&mut self) -> Result<f64, QasmError> {
-        let mut value = self.factor()?;
+    fn term(&mut self, depth: usize) -> Result<f64, QasmError> {
+        let mut value = self.factor(depth)?;
         loop {
             match self.peek().kind {
                 TokenKind::Star => {
                     self.advance();
-                    value *= self.factor()?;
+                    value *= self.factor(depth)?;
                 }
                 TokenKind::Slash => {
                     self.advance();
-                    value /= self.factor()?;
+                    value /= self.factor(depth)?;
                 }
                 _ => return Ok(value),
             }
@@ -426,15 +435,23 @@ impl Parser {
     }
 
     /// factor := ('-'|'+') factor | number | 'pi' | '(' expr ')'
-    fn factor(&mut self) -> Result<f64, QasmError> {
-        match self.peek().kind.clone() {
+    fn factor(&mut self, depth: usize) -> Result<f64, QasmError> {
+        let kind = self.peek().kind.clone();
+        if matches!(kind, TokenKind::Minus | TokenKind::Plus | TokenKind::LParen)
+            && depth >= MAX_EXPRESSION_DEPTH
+        {
+            return Err(self.error_here(format!(
+                "parameter expression nested deeper than {MAX_EXPRESSION_DEPTH} levels"
+            )));
+        }
+        match kind {
             TokenKind::Minus => {
                 self.advance();
-                Ok(-self.factor()?)
+                Ok(-self.factor(depth + 1)?)
             }
             TokenKind::Plus => {
                 self.advance();
-                self.factor()
+                self.factor(depth + 1)
             }
             TokenKind::Number(v) => {
                 self.advance();
@@ -446,7 +463,7 @@ impl Parser {
             }
             TokenKind::LParen => {
                 self.advance();
-                let v = self.expression()?;
+                let v = self.expression(depth + 1)?;
                 self.expect(&TokenKind::RParen)?;
                 Ok(v)
             }
@@ -573,6 +590,24 @@ mod tests {
     fn nested_parentheses_in_params() {
         let c = parse_body("qreg q[1];\nrz((pi/(2+2))) q[0];\n");
         assert!((c.gates()[0].params().as_slice()[0] - PI / 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn expression_nesting_is_capped_at_128_levels() {
+        for depth in [128, 129] {
+            let parens = format!("rz({}pi{}) q[0];", "(".repeat(depth), ")".repeat(depth));
+            let signs = format!("rz({}pi) q[0];", "-".repeat(depth));
+            for gate in [parens, signs] {
+                let result = parse(&format!("{HEADER}qreg q[1];\n{gate}\n"));
+                match depth {
+                    128 => assert!(result.is_ok(), "{depth}: {result:?}"),
+                    _ => assert!(
+                        result.unwrap_err().to_string().contains("deeper than 128"),
+                        "{depth}"
+                    ),
+                }
+            }
+        }
     }
 
     #[test]

@@ -655,6 +655,41 @@ fn oversized_bodies_get_413() {
     handle.shutdown();
 }
 
+/// A parameter expression nested far past the parser's bound is a `400`,
+/// not a stack overflow that takes the whole process (and every other
+/// client) down with it.
+#[test]
+fn deeply_nested_qasm_expression_is_a_400_not_a_crash() {
+    let handle = server(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr();
+    register(addr, "line", "linear:4");
+    let qasm = format!(
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[4];\nrz({}pi) q[0];\n",
+        "-".repeat(10_000)
+    );
+    let (status, response) = post_json(
+        addr,
+        "/route",
+        &JsonValue::object([
+            ("device", "line".into()),
+            ("circuit", JsonValue::object([("qasm", qasm.into())])),
+        ]),
+    );
+    assert_eq!(status, 400, "{response:?}");
+    assert!(response
+        .get("error")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .contains("deeper than 128"));
+    let (status, _) = get_json(addr, "/healthz");
+    assert_eq!(status, 200);
+    handle.shutdown();
+}
+
 #[test]
 fn metrics_expose_per_step_routing_telemetry() {
     let handle = server(ServeConfig {

@@ -128,20 +128,28 @@ impl SabreRouter {
         config: SabreConfig,
         backend: DistanceBackend,
     ) -> Result<Self, RouteError> {
+        Self::with_cost(graph, config, |graph| {
+            WeightedDistanceMatrix::with_backend(graph, |_, _| 1.0, backend)
+        })
+    }
+
+    /// Validates `config` and connectivity, then builds the one distance
+    /// matrix the router routes on — so every constructor runs the
+    /// distance preprocessing exactly once.
+    fn with_cost(
+        graph: CouplingGraph,
+        config: SabreConfig,
+        cost: impl FnOnce(&CouplingGraph) -> WeightedDistanceMatrix,
+    ) -> Result<Self, RouteError> {
         config
             .validate()
             .map_err(|reason| RouteError::InvalidConfig { reason })?;
         if !graph.is_connected() {
             return Err(RouteError::DisconnectedDevice);
         }
-        let cost = Arc::new(WeightedDistanceMatrix::with_backend(
-            &graph,
-            |_, _| 1.0,
-            backend,
-        ));
         Ok(SabreRouter {
+            cost: Arc::new(cost(&graph)),
             graph: Arc::new(graph),
-            cost,
             config,
             verdicts: None,
         })
@@ -194,13 +202,9 @@ impl SabreRouter {
         noise: &NoiseModel,
         backend: DistanceBackend,
     ) -> Result<Self, RouteError> {
-        let mut router = SabreRouter::with_distance_backend(graph, config, backend)?;
-        router.cost = Arc::new(noise_cost_matrix_with_backend(
-            &router.graph,
-            noise,
-            backend,
-        ));
-        Ok(router)
+        Self::with_cost(graph, config, |graph| {
+            noise_cost_matrix_with_backend(graph, noise, backend)
+        })
     }
 
     /// Attaches a shared embedding-verdict store (builder-style): repeated

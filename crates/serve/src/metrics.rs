@@ -109,31 +109,17 @@ pub enum Hist {
     RouteLogSuccess,
 }
 
-impl Hist {
-    const ALL: [Hist; 8] = [
-        Hist::PredictedWaitMs,
-        Hist::RebindNs,
-        Hist::PhaseFrontNs,
-        Hist::PhaseExtendedSetNs,
-        Hist::PhaseScoringNs,
-        Hist::RouteSwaps,
-        Hist::RouteDepthOverhead,
-        Hist::RouteLogSuccess,
-    ];
-
-    fn bounds(self) -> &'static [u64] {
-        match self {
-            Hist::PredictedWaitMs => &PREDICTED_WAIT_BUCKETS_MS,
-            Hist::RebindNs => &REBIND_NS_BUCKETS,
-            Hist::PhaseFrontNs | Hist::PhaseExtendedSetNs | Hist::PhaseScoringNs => {
-                &ROUTE_PHASE_NS_BUCKETS
-            }
-            Hist::RouteSwaps => &ROUTE_SWAPS_BUCKETS,
-            Hist::RouteDepthOverhead => &DEPTH_OVERHEAD_BUCKETS,
-            Hist::RouteLogSuccess => &NEG_MILLI_LOG_SUCCESS_BUCKETS,
-        }
-    }
-}
+/// Bucket bounds of each [`Hist`], in declaration order.
+const HIST_BOUNDS: [&[u64]; 8] = [
+    &PREDICTED_WAIT_BUCKETS_MS,
+    &REBIND_NS_BUCKETS,
+    &ROUTE_PHASE_NS_BUCKETS,
+    &ROUTE_PHASE_NS_BUCKETS,
+    &ROUTE_PHASE_NS_BUCKETS,
+    &ROUTE_SWAPS_BUCKETS,
+    &DEPTH_OVERHEAD_BUCKETS,
+    &NEG_MILLI_LOG_SUCCESS_BUCKETS,
+];
 
 /// The service's counter and histogram stores plus the per-device
 /// scoreboard; gauges (queue depth, device count) are read from their
@@ -141,7 +127,7 @@ impl Hist {
 #[derive(Debug)]
 pub struct Metrics {
     counters: [AtomicU64; Counter::COUNT],
-    histograms: [Histogram; Hist::ALL.len()],
+    histograms: [Histogram; HIST_BOUNDS.len()],
     /// Per-device quality scoreboard backing `GET /debug/quality`.
     pub quality: QualityBoard,
 }
@@ -422,7 +408,7 @@ impl Default for Metrics {
     fn default() -> Self {
         Metrics {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            histograms: Hist::ALL.map(|hist| Histogram::new(hist.bounds())),
+            histograms: HIST_BOUNDS.map(Histogram::new),
             quality: QualityBoard::default(),
         }
     }
@@ -479,28 +465,9 @@ enum Series {
     PerDevice(fn(&DeviceQuality) -> u64),
 }
 
-/// One exported family, `sabre_serve_{name}`.
-struct Family {
-    name: &'static str,
-    /// The Prometheus `TYPE`: `counter`, `gauge` or `histogram`.
-    kind: &'static str,
-    help: &'static str,
-    series: Series,
-}
-
-const fn family(
-    name: &'static str,
-    kind: &'static str,
-    help: &'static str,
-    series: Series,
-) -> Family {
-    Family {
-        name,
-        kind,
-        help,
-        series,
-    }
-}
+/// One exported family, `sabre_serve_{name}`: its name, Prometheus
+/// `TYPE` (`counter`, `gauge` or `histogram`), help text and series.
+struct Family(&'static str, &'static str, &'static str, Series);
 
 use Series::{Labeled, One, PerDevice};
 use Source::{Scraped, Stored};
@@ -510,23 +477,23 @@ use Source::{Scraped, Stored};
 /// declaration).
 #[rustfmt::skip]
 static FAMILIES: &[Family] = &[
-    family("queue_depth", "gauge", "Jobs waiting in the admission queue.",
+    Family("queue_depth", "gauge", "Jobs waiting in the admission queue.",
         One(Scraped(|s| s.gauges.queue_depth as u64))),
-    family("queue_capacity", "gauge", "Admission queue capacity.",
+    Family("queue_capacity", "gauge", "Admission queue capacity.",
         One(Scraped(|s| s.gauges.queue_capacity as u64))),
-    family("workers", "gauge", "Routing worker threads.",
+    Family("workers", "gauge", "Routing worker threads.",
         One(Scraped(|s| s.gauges.workers as u64))),
-    family("devices_registered", "gauge", "Devices currently registered.",
+    Family("devices_registered", "gauge", "Devices currently registered.",
         One(Scraped(|s| s.gauges.devices as u64))),
-    family("fleets_registered", "gauge", "Fleets currently registered.",
+    Family("fleets_registered", "gauge", "Fleets currently registered.",
         One(Scraped(|s| s.gauges.fleets as u64))),
-    family("draining", "gauge", "1 once shutdown has begun.",
+    Family("draining", "gauge", "1 once shutdown has begun.",
         One(Scraped(|s| u64::from(s.gauges.draining)))),
-    family("open_connections", "gauge", "Connections currently held in the reactor's table.",
+    Family("open_connections", "gauge", "Connections currently held in the reactor's table.",
         One(Scraped(|s| s.gauges.open_connections as u64))),
-    family("max_connections", "gauge", "Connection-table capacity.",
+    Family("max_connections", "gauge", "Connection-table capacity.",
         One(Scraped(|s| s.gauges.max_connections as u64))),
-    family("requests_total", "counter", "HTTP requests by endpoint.", Labeled("endpoint", &[
+    Family("requests_total", "counter", "HTTP requests by endpoint.", Labeled("endpoint", &[
         ("route", Stored(Counter::RequestsRoute)),
         ("route_sharded", Stored(Counter::RequestsSharded)),
         ("transpile_batch", Stored(Counter::RequestsBatch)),
@@ -536,35 +503,35 @@ static FAMILIES: &[Family] = &[
         ("healthz", Stored(Counter::RequestsHealthz)),
         ("metrics", Stored(Counter::RequestsMetrics)),
     ])),
-    family("queue_rejections_total", "counter", "Admissions rejected with 503 (queue full).",
+    Family("queue_rejections_total", "counter", "Admissions rejected with 503 (queue full).",
         One(Stored(Counter::QueueRejections))),
-    family("jobs_admitted_total", "counter", "Jobs accepted into the queue.",
+    Family("jobs_admitted_total", "counter", "Jobs accepted into the queue.",
         One(Stored(Counter::JobsAdmitted))),
-    family("jobs_completed_total", "counter", "Jobs that produced a 2xx response.",
+    Family("jobs_completed_total", "counter", "Jobs that produced a 2xx response.",
         One(Stored(Counter::JobsCompleted))),
-    family("jobs_failed_total", "counter", "Jobs that produced an error response.",
+    Family("jobs_failed_total", "counter", "Jobs that produced an error response.",
         One(Stored(Counter::JobsFailed))),
-    family("circuits_routed_total", "counter",
+    Family("circuits_routed_total", "counter",
         "Circuits routed successfully (batch slots counted individually).",
         One(Stored(Counter::CircuitsRouted))),
-    family("routing_ns_total", "counter", "Wall nanoseconds spent routing.",
+    Family("routing_ns_total", "counter", "Wall nanoseconds spent routing.",
         One(Stored(Counter::RoutingNsTotal))),
-    family("routing_steps_total", "counter",
+    Family("routing_steps_total", "counter",
         "Search steps executed (all traversals of all restarts).",
         One(Stored(Counter::RoutingStepsTotal))),
-    family("avg_route_ns_per_step", "gauge", "Mean ns per search step over the process lifetime.",
+    Family("avg_route_ns_per_step", "gauge", "Mean ns per search step over the process lifetime.",
         One(Scraped(|s| s.metrics.avg_ns_per_step()))),
-    family("last_route_ns_per_step", "gauge", "ns per search step of the most recent /route job.",
+    Family("last_route_ns_per_step", "gauge", "ns per search step of the most recent /route job.",
         One(Stored(Counter::LastRouteNsPerStep))),
-    family("queue_wait_ns_total", "counter", "Nanoseconds jobs spent waiting in the queue.",
+    Family("queue_wait_ns_total", "counter", "Nanoseconds jobs spent waiting in the queue.",
         One(Stored(Counter::QueueWaitNsTotal))),
-    family("connections_reaped_total", "counter",
+    Family("connections_reaped_total", "counter",
         "Connections closed by a deadline or idle timeout.", Labeled("reason", &[
         ("read_deadline", Stored(Counter::ReapedReadDeadline)),
         ("write_deadline", Stored(Counter::ReapedWriteDeadline)),
         ("idle", Stored(Counter::ReapedIdle)),
     ])),
-    family("admission_rejections_total", "counter",
+    Family("admission_rejections_total", "counter",
         "Requests shed before queueing, by cause.", Labeled("kind", &[
         // queue_full mirrors the legacy queue_rejections counter so the
         // labeled family is complete without double-counting.
@@ -573,57 +540,57 @@ static FAMILIES: &[Family] = &[
         ("predicted_slo", Stored(Counter::ShedPredictedSlo)),
         ("table_full", Stored(Counter::ShedTableFull)),
     ])),
-    family("admission_predicted_wait_ms", "histogram",
+    Family("admission_predicted_wait_ms", "histogram",
         "Projected queue wait (ms) computed at admission time.",
         One(Source::Histogram(Hist::PredictedWaitMs))),
-    family("cache_graph_hits_total", "counter", "DeviceCache router acquisitions served warm.",
+    Family("cache_graph_hits_total", "counter", "DeviceCache router acquisitions served warm.",
         One(Scraped(|s| s.cache.graph_hits))),
-    family("cache_graph_misses_total", "counter",
+    Family("cache_graph_misses_total", "counter",
         "DeviceCache acquisitions that ran full preprocessing.",
         One(Scraped(|s| s.cache.graph_misses))),
-    family("cache_noise_hits_total", "counter", "Noise-weighted matrices served warm.",
+    Family("cache_noise_hits_total", "counter", "Noise-weighted matrices served warm.",
         One(Scraped(|s| s.cache.noise_hits))),
-    family("cache_noise_misses_total", "counter", "Noise-weighted matrices computed.",
+    Family("cache_noise_misses_total", "counter", "Noise-weighted matrices computed.",
         One(Scraped(|s| s.cache.noise_misses))),
-    family("cache_embedding_hits_total", "counter", "Perfect-placement probe verdicts served warm.",
+    Family("cache_embedding_hits_total", "counter", "Perfect-placement probe verdicts served warm.",
         One(Scraped(|s| s.cache.embedding_hits))),
-    family("cache_embedding_misses_total", "counter", "Probe verdicts computed by backtracking.",
+    Family("cache_embedding_misses_total", "counter", "Probe verdicts computed by backtracking.",
         One(Scraped(|s| s.cache.embedding_misses))),
-    family("plan_cache_hits_total", "counter",
+    Family("plan_cache_hits_total", "counter",
         "Routed-plan lookups served by parameter re-binding.",
         One(Scraped(|s| s.plans.hits))),
-    family("plan_cache_misses_total", "counter",
+    Family("plan_cache_misses_total", "counter",
         "Routed-plan lookups that fell through to a full route.",
         One(Scraped(|s| s.plans.misses))),
-    family("plan_cache_evictions_total", "counter",
+    Family("plan_cache_evictions_total", "counter",
         "Routed plans evicted by the LRU capacity bound.",
         One(Scraped(|s| s.plans.evictions))),
-    family("plan_cache_entries", "gauge", "Routed plans currently cached.",
+    Family("plan_cache_entries", "gauge", "Routed plans currently cached.",
         One(Scraped(|s| s.plans.entries as u64))),
-    family("plan_cache_approx_bytes", "gauge",
+    Family("plan_cache_approx_bytes", "gauge",
         "Estimated heap bytes held by cached routed plans.",
         One(Scraped(|s| s.plans.approx_bytes))),
-    family("plan_cache_inline_hits_total", "counter",
+    Family("plan_cache_inline_hits_total", "counter",
         "/route requests answered inline from the plan cache.",
         One(Stored(Counter::PlanCacheInlineHits))),
-    family("rebind_ns", "histogram", "Parameter re-bind latency (ns) for plan-cache hits.",
+    Family("rebind_ns", "histogram", "Parameter re-bind latency (ns) for plan-cache hits.",
         One(Source::Histogram(Hist::RebindNs))),
-    family("route_phase_ns", "histogram",
+    Family("route_phase_ns", "histogram",
         "Hot-loop time per routing phase (ns), from profiled /route jobs.", Labeled("phase", &[
         ("front", Source::Histogram(Hist::PhaseFrontNs)),
         ("extended_set", Source::Histogram(Hist::PhaseExtendedSetNs)),
         ("scoring", Source::Histogram(Hist::PhaseScoringNs)),
     ])),
-    family("route_swaps", "histogram", "SWAPs inserted per routed circuit.",
+    Family("route_swaps", "histogram", "SWAPs inserted per routed circuit.",
         One(Source::Histogram(Hist::RouteSwaps))),
-    family("route_depth_overhead", "histogram", "Depth overhead (added layers) per routed circuit.",
+    Family("route_depth_overhead", "histogram", "Depth overhead (added layers) per routed circuit.",
         One(Source::Histogram(Hist::RouteDepthOverhead))),
-    family("route_log_success_probability", "histogram",
+    Family("route_log_success_probability", "histogram",
         "Negated milli-log success probability per noise-aware routed circuit (1000 = log p of -1).",
         One(Source::Histogram(Hist::RouteLogSuccess))),
-    family("device_routes_total", "counter", "Circuits routed per device id.",
+    Family("device_routes_total", "counter", "Circuits routed per device id.",
         PerDevice(|d| d.swaps.count())),
-    family("device_swaps_total", "counter", "SWAPs inserted per device id.",
+    Family("device_swaps_total", "counter", "SWAPs inserted per device id.",
         PerDevice(|d| d.swaps.sum())),
 ];
 
@@ -692,11 +659,10 @@ impl Metrics {
             plans,
         };
         let mut out = String::new();
-        for family in FAMILIES {
-            let name = family.name;
-            let _ = writeln!(out, "# HELP sabre_serve_{name} {}", family.help);
-            let _ = writeln!(out, "# TYPE sabre_serve_{name} {}", family.kind);
-            match family.series {
+        for &Family(name, kind, help, series) in FAMILIES {
+            let _ = writeln!(out, "# HELP sabre_serve_{name} {help}");
+            let _ = writeln!(out, "# TYPE sabre_serve_{name} {kind}");
+            match series {
                 One(source) => scrape.render_series(&mut out, name, "", source),
                 Labeled(key, values) => {
                     for &(value, source) in values {
@@ -1025,8 +991,7 @@ mod tests {
             PlanCacheStats::default(),
         );
         let mut names = std::collections::HashSet::new();
-        for family in FAMILIES {
-            let name = family.name;
+        for &Family(name, kind, ..) in FAMILIES {
             assert!(names.insert(name), "{name} declared twice");
             let mut chars = name.chars();
             assert!(chars
@@ -1036,7 +1001,7 @@ mod tests {
                 chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
                 "{name} uses an illegal character"
             );
-            assert!(["counter", "gauge", "histogram"].contains(&family.kind));
+            assert!(["counter", "gauge", "histogram"].contains(&kind));
             for tag in ["HELP", "TYPE"] {
                 let prefix = format!("# {tag} sabre_serve_{name} ");
                 let lines = text.lines().filter(|l| l.starts_with(&prefix)).count();

@@ -24,7 +24,7 @@ use sabre_json::JsonValue;
 
 /// The stored counters, one slot each in [`Metrics`]'s store.
 #[derive(Clone, Copy, Debug)]
-pub enum Counter {
+pub(crate) enum Counter {
     /// `POST /route` requests admitted or rejected.
     RequestsRoute,
     /// `POST /route_sharded` requests admitted or rejected.
@@ -84,7 +84,7 @@ impl Counter {
 
 /// The fleet-wide histograms, one slot each in [`Metrics`]'s store.
 #[derive(Clone, Copy, Debug)]
-pub enum Hist {
+pub(crate) enum Hist {
     /// Projected queue wait (ms) computed at admission time, recorded
     /// for every priced request whether it was admitted or shed.
     PredictedWaitMs,
@@ -125,11 +125,11 @@ const HIST_BOUNDS: [&[u64]; 8] = [
 /// scoreboard; gauges (queue depth, device count) are read from their
 /// owners at scrape time and passed to [`Metrics::render`].
 #[derive(Debug)]
-pub struct Metrics {
+pub(crate) struct Metrics {
     counters: [AtomicU64; Counter::COUNT],
     histograms: [Histogram; HIST_BOUNDS.len()],
     /// Per-device quality scoreboard backing `GET /debug/quality`.
-    pub quality: QualityBoard,
+    pub(crate) quality: QualityBoard,
 }
 
 /// Upper bounds (ms) of the `admission_predicted_wait_ms` buckets; an
@@ -186,7 +186,7 @@ const NEG_MILLI_LOG_SUCCESS_BUCKETS: [u64; 10] =
 /// admission wait, the nanoseconds-scale rebind latency and the
 /// scoreboard's per-device quality distributions.
 #[derive(Debug)]
-pub struct Histogram {
+struct Histogram {
     bounds: &'static [u64],
     /// One slot per bound plus the `+Inf` overflow slot.
     buckets: Vec<AtomicU64>,
@@ -198,7 +198,7 @@ pub struct Histogram {
 impl Histogram {
     /// A zeroed histogram over `bounds` (ascending upper bounds; an
     /// implicit `+Inf` bucket is appended).
-    pub fn new(bounds: &'static [u64]) -> Self {
+    fn new(bounds: &'static [u64]) -> Self {
         Histogram {
             bounds,
             buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
@@ -209,7 +209,7 @@ impl Histogram {
     }
 
     /// Records one observation.
-    pub fn observe(&self, value: u64) {
+    fn observe(&self, value: u64) {
         let idx = self
             .bounds
             .iter()
@@ -222,7 +222,7 @@ impl Histogram {
     }
 
     /// Total observations so far.
-    pub fn count(&self) -> u64 {
+    fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
@@ -319,7 +319,7 @@ struct DeviceQuality {
 /// (count, mean/p50/p95 swaps, depth overhead, fidelity) since process
 /// start. A `BTreeMap` so every rendering is sorted by device id.
 #[derive(Debug, Default)]
-pub struct QualityBoard {
+pub(crate) struct QualityBoard {
     devices: Mutex<BTreeMap<String, DeviceQuality>>,
 }
 
@@ -345,7 +345,7 @@ impl QualityBoard {
     /// The scoreboard as a deterministic JSON object (devices sorted by
     /// id). Fidelity quantiles are decoded back from the milli-nat
     /// histogram, so `p50 ≥ p95` in log space (less negative = better).
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(&self) -> JsonValue {
         let devices = self.devices.lock().expect("quality board lock");
         let log = |milli: u64| JsonValue::from(-(milli as f64) / 1000.0);
         JsonValue::object([(
@@ -416,23 +416,23 @@ impl Default for Metrics {
 
 /// Point-in-time gauges owned by the service, sampled per scrape.
 #[derive(Clone, Copy, Debug)]
-pub struct GaugeSnapshot {
+pub(crate) struct GaugeSnapshot {
     /// Jobs currently queued.
-    pub queue_depth: usize,
+    pub(crate) queue_depth: usize,
     /// Queue capacity.
-    pub queue_capacity: usize,
+    pub(crate) queue_capacity: usize,
     /// Worker threads.
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Registered devices.
-    pub devices: usize,
+    pub(crate) devices: usize,
     /// Registered fleets.
-    pub fleets: usize,
+    pub(crate) fleets: usize,
     /// Whether shutdown has begun.
-    pub draining: bool,
+    pub(crate) draining: bool,
     /// Connections currently in the reactor's table.
-    pub open_connections: usize,
+    pub(crate) open_connections: usize,
     /// Connection-table capacity.
-    pub max_connections: usize,
+    pub(crate) max_connections: usize,
 }
 
 /// Everything one scrape reads: the stores plus the owners' snapshots.
@@ -596,7 +596,7 @@ static FAMILIES: &[Family] = &[
 
 impl Metrics {
     /// Bumps a counter (relaxed; these are statistics, not synchronization).
-    pub fn add(&self, counter: Counter, delta: u64) {
+    pub(crate) fn add(&self, counter: Counter, delta: u64) {
         self.counters[counter as usize].fetch_add(delta, Ordering::Relaxed);
     }
 
@@ -609,12 +609,12 @@ impl Metrics {
     }
 
     /// Records one observation in a fleet-wide histogram.
-    pub fn observe(&self, hist: Hist, value: u64) {
+    pub(crate) fn observe(&self, hist: Hist, value: u64) {
         self.histogram(hist).observe(value);
     }
 
     /// Records one successful routing call in the admission telemetry.
-    pub fn record_routing(&self, elapsed_ns: u128, steps: usize, ns_per_step: u128) {
+    pub(crate) fn record_routing(&self, elapsed_ns: u128, steps: usize, ns_per_step: u128) {
         let saturate = |ns: u128| ns.min(u128::from(u64::MAX)) as u64;
         self.add(Counter::RoutingNsTotal, saturate(elapsed_ns));
         self.add(Counter::RoutingStepsTotal, steps as u64);
@@ -626,7 +626,7 @@ impl Metrics {
     /// histograms plus the per-device scoreboard. Runs post-route off
     /// the hot loop; batch slots and shards are observed individually
     /// under their own device id.
-    pub fn observe_quality(&self, device: &str, quality: &PlanQuality) {
+    pub(crate) fn observe_quality(&self, device: &str, quality: &PlanQuality) {
         self.observe(Hist::RouteSwaps, quality.num_swaps as u64);
         self.observe(Hist::RouteDepthOverhead, quality.depth_overhead as u64);
         if let Some(lsp) = quality.log_success_probability {
@@ -638,7 +638,7 @@ impl Metrics {
     /// Mean ns per search step over the process lifetime — the live
     /// price admission control multiplies predicted steps by. `0` until
     /// the first routing job completes (no observation, no model).
-    pub fn avg_ns_per_step(&self) -> u64 {
+    pub(crate) fn avg_ns_per_step(&self) -> u64 {
         self.get(Counter::RoutingNsTotal)
             .checked_div(self.get(Counter::RoutingStepsTotal))
             .unwrap_or(0)
@@ -646,7 +646,7 @@ impl Metrics {
 
     /// Renders the Prometheus exposition text: one `HELP`/`TYPE` block
     /// per row of [`FAMILIES`], then that family's series.
-    pub fn render(
+    pub(crate) fn render(
         &self,
         gauges: GaugeSnapshot,
         cache: DeviceCacheStats,

@@ -22,6 +22,9 @@ use std::sync::Mutex;
 use sabre::{DeviceCacheStats, PlanCacheStats, PlanQuality};
 use sabre_json::JsonValue;
 
+use Series::{Labeled, One, PerDevice};
+use Source::{Scraped, Stored};
+
 /// The stored counters, one slot each in [`Metrics`]'s store.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Counter {
@@ -79,6 +82,7 @@ pub(crate) enum Counter {
 }
 
 impl Counter {
+    /// Store size; the last variant sets it, so new counters go last.
     const COUNT: usize = Counter::PlanCacheInlineHits as usize + 1;
 }
 
@@ -109,8 +113,10 @@ pub(crate) enum Hist {
     RouteLogSuccess,
 }
 
-/// Bucket bounds of each [`Hist`], in declaration order.
-const HIST_BOUNDS: [&[u64]; 8] = [
+/// Bucket bounds of each [`Hist`], in declaration order. The length is
+/// tied to the last variant, so a histogram added last without bounds
+/// fails to compile.
+const HIST_BOUNDS: [&[u64]; Hist::RouteLogSuccess as usize + 1] = [
     &PREDICTED_WAIT_BUCKETS_MS,
     &REBIND_NS_BUCKETS,
     &ROUTE_PHASE_NS_BUCKETS,
@@ -468,9 +474,6 @@ enum Series {
 /// One exported family, `sabre_serve_{name}`: its name, Prometheus
 /// `TYPE` (`counter`, `gauge` or `histogram`), help text and series.
 struct Family(&'static str, &'static str, &'static str, Series);
-
-use Series::{Labeled, One, PerDevice};
-use Source::{Scraped, Stored};
 
 /// Every family `/metrics` exports, in exposition order: the one list
 /// of exported names (kept compact by hand so each row reads as one

@@ -85,8 +85,9 @@ fn corpus() -> Vec<(&'static str, CouplingGraph, &'static str, u32, usize)> {
     let tokyo = devices::ibm_q20_tokyo().graph().clone();
     let grid = devices::grid(10, 10).graph().clone();
     // 1089 physical qubits: past DENSE_DISTANCE_THRESHOLD, so `measure`
-    // preprocesses through the sparse on-demand engine — this entry pins
-    // the kilo-qubit routing claim (deep circuit, seconds, flat memory).
+    // fills distance rows on first touch within ROW_BUDGET_BYTES — this
+    // entry pins the kilo-qubit routing claim (deep circuit, bounded
+    // memory).
     let kilo = devices::grid(33, 33).graph().clone();
     vec![
         ("tokyo20", tokyo.clone(), "small", 12, 60),
@@ -100,8 +101,8 @@ fn corpus() -> Vec<(&'static str, CouplingGraph, &'static str, u32, usize)> {
 }
 
 fn measure(graph: &CouplingGraph, circuit: &Circuit, repeats: usize) -> (usize, usize, u128) {
-    // Size-aware preprocessing: dense matrix for the small devices,
-    // sparse row engine for grid33x33 — same values either way.
+    // Size-aware preprocessing: rows filled up front for the small
+    // devices, on first touch for grid33x33 — same values either way.
     let dist = WeightedDistanceMatrix::auto(graph, |_, _| 1.0);
     let config = SabreConfig::fast();
     let mut walls: Vec<u128> = Vec::with_capacity(repeats);

@@ -62,10 +62,11 @@ pub(crate) struct RestartOutcome {
 /// bidirectional traversal, and best-result selection (paper §IV).
 ///
 /// Construction performs the preprocessing of §IV-A once (connectivity
-/// check and distance preprocessing — a dense all-pairs matrix up to
-/// [`sabre_topology::DENSE_DISTANCE_THRESHOLD`] qubits, the sparse
-/// on-demand row engine above it); the router can then route any number
-/// of circuits against the same device.
+/// check and distance preprocessing — every all-pairs row filled up front
+/// up to [`sabre_topology::DENSE_DISTANCE_THRESHOLD`] qubits, rows filled
+/// on first touch within [`sabre_topology::ROW_BUDGET_BYTES`] above it);
+/// the router can then route any number of circuits against the same
+/// device.
 ///
 /// # Example
 ///
@@ -114,11 +115,11 @@ impl SabreRouter {
 
     /// Like [`SabreRouter::new`] but with an explicit distance-engine
     /// choice instead of the size-based auto policy. `DistanceBackend::
-    /// Dense` forces the `O(N²)` all-pairs matrix regardless of device
-    /// size; `DistanceBackend::Sparse` forces the on-demand row engine
+    /// Dense` fills the `O(N²)` all-pairs matrix up front regardless of
+    /// device size; `DistanceBackend::Sparse` fills rows on first touch
     /// even on small devices. Routing output is bit-identical either way
     /// (the equivalence suite pins this); the choice only trades memory
-    /// against per-row latency.
+    /// against first-touch latency.
     ///
     /// # Errors
     ///

@@ -19,8 +19,10 @@
 //!   live in the state and keep their capacity across steps *and*
 //!   traversals.
 //! - **Row-slice distance loads**: adjusted distances resolve against
-//!   [`WeightedDistanceMatrix::row`] slices — contiguous indexed loads
-//!   instead of a multiply and bounds check per lookup.
+//!   [`WeightedDistanceMatrix::row_with_spill`] slices — contiguous
+//!   indexed loads instead of a multiply and bounds check per lookup. On
+//!   devices too large for the matrix's row budget the search keeps the
+//!   rows the matrix does not store in its own [`RowSpill`].
 //!
 //! # Exactness contract
 //!
@@ -37,7 +39,7 @@
 //! practice; `tests/hot_loop_equivalence.rs` pins both regimes.
 
 use sabre_circuit::{Circuit, ExtendedSetScratch, Qubit};
-use sabre_topology::{CouplingGraph, WeightedDistanceMatrix};
+use sabre_topology::{CouplingGraph, RowSpill, WeightedDistanceMatrix};
 
 use crate::{HeuristicKind, Layout, SabreConfig};
 
@@ -80,6 +82,10 @@ pub(crate) struct IncidenceTable {
     front_norm: f64,
     /// `|E|` as f64 (0.0 when empty — the extended term is skipped).
     extended_len: f64,
+    /// Rows this search keeps once a lazily filled matrix has spent its
+    /// byte budget (only large devices get there); cleared between steps
+    /// once full.
+    spill: RowSpill<f64>,
 }
 
 impl IncidenceTable {
@@ -92,6 +98,7 @@ impl IncidenceTable {
             extended_base: 0.0,
             front_norm: 1.0,
             extended_len: 0.0,
+            spill: RowSpill::new(n_phys),
         }
     }
 
@@ -111,12 +118,13 @@ impl IncidenceTable {
         }
         self.touched.clear();
         self.stage.clear();
+        self.spill.clear_if_full();
         for (gates, in_front) in [(front, true), (extended, false)] {
             for &idx in gates {
                 let (a, b) = circuit.gates()[idx].qubits();
                 let b = b.expect("front/extended sets contain only two-qubit gates");
                 let (pa, pb) = (layout.phys_of(a), layout.phys_of(b));
-                let d = dist.row(pa)[pb.index()];
+                let d = dist.row_with_spill(&self.spill, pa)[pb.index()];
                 self.stage.push(d);
                 self.insert(
                     pa,
@@ -165,13 +173,16 @@ impl IncidenceTable {
         decay: &[f64],
         (x, y): (Qubit, Qubit),
     ) -> f64 {
+        // Rows first: a row's first touch calls out of line, and running
+        // sums live across that call get spilled to the stack for the
+        // whole loop below.
+        let row_x = dist.row_with_spill(&self.spill, x);
+        let row_y = dist.row_with_spill(&self.spill, y);
         let mut front_sum = self.front_base;
         let mut extended_sum = self.extended_base;
         // After SWAP(x, y) a gate endpoint on x maps to y and vice versa.
         // A gate incident to *both* keeps its distance (D is symmetric)
         // and is skipped from whichever list reaches it.
-        let row_x = dist.row(x);
-        let row_y = dist.row(y);
         for e in &self.lists[x.index()] {
             if e.other == y {
                 continue;

@@ -63,12 +63,14 @@ pub fn too_many_requests(
     .with_header("Retry-After", retry_after.to_string())
 }
 
-/// Registration cap. Preprocessing above
-/// [`sabre_topology::DENSE_DISTANCE_THRESHOLD`] qubits goes through the
-/// sparse on-demand distance engine (`O(N + E)` resident, no all-pairs
-/// matrix), so kilo-qubit devices are fine; the cap only keeps an
-/// unauthenticated request from demanding a 10⁵-qubit registration whose
-/// per-row BFS/Dijkstra work could still tie up a worker.
+/// Registration cap. Above [`sabre_topology::DENSE_DISTANCE_THRESHOLD`]
+/// qubits distance rows are filled on first touch and stored within
+/// [`sabre_topology::ROW_BUDGET_BYTES`] (no all-pairs matrix up front), so
+/// kilo-qubit devices are fine; the cap only keeps an unauthenticated
+/// request from demanding a 10⁵-qubit registration whose per-row
+/// BFS/Dijkstra work could still tie up a worker. At the cap the budget
+/// stores 1024 `f64` rows (32 MiB), and each running route keeps up to
+/// [`sabre_topology::SPILL_ROWS`] more of its own (32 MiB).
 const MAX_DEVICE_QUBITS: u32 = 4096;
 /// Gate-count cap per submitted circuit (`/route`) or batch slot.
 const MAX_CIRCUIT_GATES: usize = 1_000_000;
@@ -461,9 +463,9 @@ pub fn parse_device_registration(body: &JsonValue) -> Result<(String, CouplingGr
 /// parameterized families `linear:<n>`, `ring:<n>`, `star:<n>`,
 /// `complete:<n>`, `grid:<rows>x<cols>`, `heavy_hex:<rows>x<cols>`
 /// (sizes capped at 4096 qubits). Construction goes through
-/// [`devices`], whose distance preprocessing switches to the sparse
-/// engine past [`sabre_topology::DENSE_DISTANCE_THRESHOLD`] qubits —
-/// registering `grid:40x40` never allocates an `O(N²)` matrix.
+/// [`devices`], whose distance preprocessing switches to lazily filled
+/// rows past [`sabre_topology::DENSE_DISTANCE_THRESHOLD`] qubits —
+/// registering `grid:40x40` fills no row until a route touches it.
 pub fn builtin_device(name: &str) -> Option<devices::Device> {
     match name {
         "tokyo20" | "ibm_q20_tokyo" => return Some(devices::ibm_q20_tokyo()),

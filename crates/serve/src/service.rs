@@ -606,7 +606,8 @@ fn register_device(service: &RoutingService, request: &Request) -> Response {
     };
     // Warm the cache now: this both validates the graph (connectivity) and
     // moves the distance preprocessing out of the first request's latency
-    // (dense all-pairs below the size threshold, sparse engine above it).
+    // (all rows filled below the size threshold; above it rows fill on
+    // first touch, so registration only builds the empty row table).
     let router = match service.cache.router(&graph, service.config.default_config) {
         Ok(router) => router,
         Err(e) => return Response::error(400, &format!("device rejected: {e}")),

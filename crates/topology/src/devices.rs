@@ -78,8 +78,9 @@ impl Device {
     }
 
     /// Convenience: the device's hop-distance matrix under the automatic
-    /// dense/sparse policy ([`DistanceMatrix::auto`]) — dense `O(N²)`
-    /// storage for small chips, the on-demand sparse row engine above
+    /// dense/sparse policy ([`DistanceMatrix::auto`]) — every row filled
+    /// at build time for small chips, rows filled on first touch within
+    /// [`crate::ROW_BUDGET_BYTES`] above
     /// [`crate::DENSE_DISTANCE_THRESHOLD`] qubits.
     pub fn distance_matrix(&self) -> DistanceMatrix {
         DistanceMatrix::auto(&self.graph)

@@ -1,5 +1,5 @@
-//! Distance preprocessing: dense all-pairs matrices for small devices, an
-//! on-demand sparse row engine for kilo-qubit ones.
+//! Distance preprocessing: one per-source row table for every device
+//! size, filled eagerly on small devices and lazily on kilo-qubit ones.
 //!
 //! The paper precomputes all-pairs shortest paths with Floyd–Warshall,
 //! "acceptable for NISQ devices with hundreds of qubits" (§IV-A). At the
@@ -7,59 +7,66 @@
 //! the `O(N²)` matrix (and the `O(N³)` fill) stops being acceptable — so
 //! one generic row store, [`Distances`], serves both value types
 //! ([`DistanceMatrix`] hop counts and [`WeightedDistanceMatrix`] costs)
-//! from one of two interchangeable storages:
+//! from a table of `N` write-once rows. A filled row is read lock-free:
+//! one `OnceLock::get` and a borrowed slice. The backends differ only in
+//! when rows are filled:
 //!
-//! - **Dense** (`N ≤` [`DENSE_DISTANCE_THRESHOLD`]): the classic
-//!   row-major `N × N` array. `O(N²)` memory, `O(1)` loads, rows are
-//!   plain borrowed slices, filled eagerly by `N` row sweeps.
-//! - **Sparse** (above the threshold): no matrix at all. Each requested
-//!   row is computed on demand — BFS for hop counts, binary-heap
-//!   Dijkstra for weighted costs, `O(E + N log N)` per row — and kept in
-//!   a bounded LRU cache ([`ROW_CACHE_CAPACITY`] rows), so memory stays
-//!   `O(E + capacity·N)` — flat in the number of *pairs* — while a
-//!   router's hot loop (which revisits a small working set of front-layer
-//!   rows) still sees `O(1)`-amortized loads.
+//! - **Dense** (`N ≤` [`DENSE_DISTANCE_THRESHOLD`]): every row is filled
+//!   at build time by `N` row sweeps. `O(N²)` memory.
+//! - **Sparse** (above the threshold): a row is filled on first touch —
+//!   BFS for hop counts, binary-heap Dijkstra for weighted costs,
+//!   `O(E + N log N)` per row. Filled rows are stored while the
+//!   matrix's [`ROW_BUDGET_BYTES`] budget lasts; past it, a row is not
+//!   stored by the matrix. Nothing is evicted, so the matrix stays
+//!   `O(E + budget)` while a router's hot loop (which revisits a small
+//!   working set of front-layer rows) reads stored rows at the dense
+//!   backend's cost. On devices too large for the budget (above 2048
+//!   qubits for `f64`), each search keeps the unstored rows it reads in
+//!   its own [`RowSpill`] of up to [`SPILL_ROWS`] rows, freed when the
+//!   search ends; other callers get such rows owned, one sweep per
+//!   touch.
 //!
-//! Both storages produce **bit-identical values**: the dense fill and the
-//! sparse engine call the same per-source row producer, so a row is the
+//! Both backends produce **bit-identical values**: the eager fill and
+//! the lazy fill call the same per-source row producer, so a row is the
 //! same `Vec` either way, and routing on top of them is reproducible
-//! across backends. The `auto` constructors pick the storage by device
+//! across backends. The `auto` constructors pick the backend by device
 //! size; everything downstream (router, cache, service) goes through
 //! them. Floyd–Warshall survives only as the reference the row producers
 //! are tested against.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::cell::{Cell, OnceCell};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::ops::{Add, Deref};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use crate::{CouplingGraph, Qubit};
 
-/// Devices up to this many qubits use the dense all-pairs backend in the
-/// [`DistanceMatrix::auto`] / [`WeightedDistanceMatrix::auto`] policies;
-/// larger devices get the sparse on-demand engine.
+/// Devices up to this many qubits use the dense backend (every row
+/// filled at build time) in the [`DistanceMatrix::auto`] /
+/// [`WeightedDistanceMatrix::auto`] policies; larger devices fill rows
+/// lazily.
 ///
 /// At 128 qubits a dense `f64` matrix costs ~128 KiB and fills in well
-/// under a millisecond — comfortably the faster choice, with zero
-/// per-lookup overhead. At 1089 qubits (grid 33×33) it is ~9 MiB, and at
-/// 10⁴ qubits ~760 MiB — the regime the sparse engine exists for.
-/// Callers that want to force a backend regardless of size use
-/// [`DistanceBackend`] with the `with_backend` constructors.
+/// under a millisecond — comfortably the faster choice. At 1089 qubits
+/// (grid 33×33) it is ~9 MiB, and at 10⁴ qubits ~760 MiB — the regime
+/// the lazy fill and its byte budget exist for. Callers that want to
+/// force a backend regardless of size use [`DistanceBackend`] with the
+/// `with_backend` constructors.
 pub const DENSE_DISTANCE_THRESHOLD: u32 = 128;
 
-/// Rows held by a sparse engine's LRU cache. Bounds sparse-backend
-/// memory at `O(`[`ROW_CACHE_CAPACITY`]`·N)` regardless of how many
-/// distinct sources are queried; eviction recomputes on the next touch
-/// (one BFS/Dijkstra, `O(E + N log N)`) and can never change a value.
+/// Bytes of rows a sparse (lazily filled) matrix stores. Rows filled
+/// while the budget lasts stay resident and are read lock-free from then
+/// on; past it, a touch of an unstored row recomputes it (one
+/// BFS/Dijkstra) and keeps it in the caller's [`RowSpill`], or hands it
+/// out owned. There is no eviction, and no value depends on what is
+/// stored.
 ///
-/// Sized to cover the router's working set: during a routing pass the
-/// queried sources are the physical positions of active gate operands,
-/// so a deep circuit over a few hundred logical qubits keeps a few
-/// hundred rows hot. 1024 rows cost 8 KiB per kilo-qubit of device per
-/// row — ~9 MiB fully populated on a 1089-qubit grid — while a cache
-/// smaller than the working set degrades into recomputing a row per
-/// lookup (measured ~50× slower routing at 256 rows on grid 33×33).
-pub const ROW_CACHE_CAPACITY: usize = 1024;
+/// 32 MiB keeps every `f64` row of devices up to 2048 qubits
+/// (`2048² · 8 B`) and 1024 rows at 4096 qubits, sabre-serve's
+/// registration cap. `u32` rows are half the size, so twice as many fit.
+pub const ROW_BUDGET_BYTES: usize = 32 << 20;
 
 /// Backend selection for the distance constructors: the automatic
 /// size-thresholded policy, or an explicit override (equivalence tests
@@ -67,18 +74,19 @@ pub const ROW_CACHE_CAPACITY: usize = 1024;
 /// side).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DistanceBackend {
-    /// Dense below [`DENSE_DISTANCE_THRESHOLD`] qubits, sparse above —
+    /// Dense up to [`DENSE_DISTANCE_THRESHOLD`] qubits, sparse above —
     /// what every production path uses.
     Auto,
-    /// Always materialize the `O(N²)` matrix.
+    /// Fill every row at build time: the `O(N²)` matrix.
     Dense,
-    /// Always use the on-demand row engine, even on tiny devices.
+    /// Fill rows on first touch within [`ROW_BUDGET_BYTES`], even on
+    /// tiny devices.
     Sparse,
 }
 
 impl DistanceBackend {
     /// Resolves the policy for a device of `num_qubits` qubits: `true`
-    /// means the sparse engine.
+    /// means rows fill lazily.
     pub fn prefers_sparse(self, num_qubits: u32) -> bool {
         match self {
             DistanceBackend::Auto => num_qubits > DENSE_DISTANCE_THRESHOLD,
@@ -93,11 +101,8 @@ impl DistanceBackend {
 ///
 /// Dereferences to `&[T]`, so `row[q.index()]`, `row.iter()`, and every
 /// other slice operation work unchanged whichever backend produced it.
-/// Dense backends lend their row as a zero-copy borrow; the sparse
-/// engine hands out a shared handle to the cached row, which keeps the
-/// row alive (and multiple rows usable side by side, as the router's
-/// two-row delta scorer requires) even if the LRU cache evicts it
-/// concurrently.
+/// A stored row is lent as a zero-copy borrow; a row computed past a
+/// sparse matrix's byte budget is owned by the handle.
 #[derive(Clone, Debug)]
 pub struct DistanceRow<'a, T> {
     repr: RowRepr<'a, T>,
@@ -105,10 +110,10 @@ pub struct DistanceRow<'a, T> {
 
 #[derive(Clone, Debug)]
 enum RowRepr<'a, T> {
-    /// A zero-copy view into a dense backend's row-major storage.
+    /// A zero-copy view of a stored row.
     Borrowed(&'a [T]),
-    /// A shared handle to a sparse engine's cached row.
-    Shared(Arc<[T]>),
+    /// A row computed past the byte budget and not stored.
+    Owned(Box<[T]>),
 }
 
 impl<T> Deref for DistanceRow<'_, T> {
@@ -118,52 +123,8 @@ impl<T> Deref for DistanceRow<'_, T> {
     fn deref(&self) -> &[T] {
         match &self.repr {
             RowRepr::Borrowed(slice) => slice,
-            RowRepr::Shared(arc) => arc,
+            RowRepr::Owned(row) => row,
         }
-    }
-}
-
-/// A bounded LRU of computed rows keyed by source qubit. Values are
-/// `Arc`-shared so eviction is safe while callers still hold a
-/// [`DistanceRow`]. Pure cache: hit/miss state never affects the values
-/// anyone observes.
-#[derive(Debug)]
-struct RowCache<T> {
-    tick: u64,
-    rows: HashMap<u32, (u64, Arc<[T]>)>,
-}
-
-impl<T> RowCache<T> {
-    fn new() -> Self {
-        RowCache {
-            tick: 0,
-            rows: HashMap::new(),
-        }
-    }
-
-    fn fetch(&mut self, source: u32, compute: impl FnOnce() -> Vec<T>) -> Arc<[T]> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((stamp, row)) = self.rows.get_mut(&source) {
-            *stamp = tick;
-            return Arc::clone(row);
-        }
-        let row: Arc<[T]> = compute().into();
-        if self.rows.len() >= ROW_CACHE_CAPACITY {
-            // Evict the least-recently used row. Ticks are unique, so the
-            // victim is deterministic; the row itself stays alive for any
-            // caller still holding its Arc.
-            if let Some(&victim) = self
-                .rows
-                .iter()
-                .min_by_key(|(_, (stamp, _))| *stamp)
-                .map(|(k, _)| k)
-            {
-                self.rows.remove(&victim);
-            }
-        }
-        self.rows.insert(source, (tick, Arc::clone(&row)));
-        row
     }
 }
 
@@ -183,12 +144,6 @@ pub trait DistanceValue:
 
     /// All distances from `source`, indexed by physical qubit.
     fn row(graph: &CouplingGraph, weights: &Self::Weights, source: Qubit) -> Vec<Self>;
-
-    /// `source`'s row through the sparse engine's LRU. Each value type
-    /// forwards to the one generic fetch, so that fetch is compiled in
-    /// this crate rather than inside the router's: routing on a
-    /// 1089-qubit grid measured ~4% slower with the latter.
-    fn cached_row(engine: &SparseRows<Self>, source: Qubit) -> Arc<[Self]>;
 }
 
 impl DistanceValue for u32 {
@@ -197,10 +152,6 @@ impl DistanceValue for u32 {
 
     fn row(graph: &CouplingGraph, _: &(), source: Qubit) -> Vec<u32> {
         graph.bfs_distances(source)
-    }
-
-    fn cached_row(engine: &SparseRows<u32>, source: Qubit) -> Arc<[u32]> {
-        engine.fetch(source)
     }
 }
 
@@ -211,10 +162,6 @@ impl DistanceValue for f64 {
 
     fn row(graph: &CouplingGraph, weights: &Arc<[f64]>, source: Qubit) -> Vec<f64> {
         dijkstra_row(graph, weights, source)
-    }
-
-    fn cached_row(engine: &SparseRows<f64>, source: Qubit) -> Arc<[f64]> {
-        engine.fetch(source)
     }
 }
 
@@ -248,7 +195,7 @@ impl Ord for HeapEntry {
 }
 
 /// One Dijkstra sweep from `source` over per-edge weights: the `f64` row
-/// producer, so the dense fill and the sparse engine yield bit-identical
+/// producer, so the eager and the lazy fill yield bit-identical
 /// rows. `O(E + N log N)` with a binary heap.
 fn dijkstra_row(graph: &CouplingGraph, edge_weights: &[f64], source: Qubit) -> Vec<f64> {
     let n = graph.num_qubits() as usize;
@@ -310,65 +257,63 @@ where
 /// type: [`DistanceMatrix`] (`u32` hops) and [`WeightedDistanceMatrix`]
 /// (`f64` costs) are its two instantiations.
 ///
-/// Small devices store the dense row-major matrix, large ones answer
-/// from the sparse on-demand engine (see the module docs). Values are
+/// One table of per-source rows, filled at build time on small devices
+/// and on first touch on large ones (see the module docs). Values are
 /// identical either way; the `auto` constructors pick for you.
 #[derive(Debug)]
 pub struct Distances<T: DistanceValue> {
     n: usize,
-    store: Store<T>,
+    /// `D[a][·]` per source `a`. Every slot is set at build time unless
+    /// `lazy` is present.
+    rows: Box<[OnceLock<Box<[T]>>]>,
+    /// What a first touch needs to fill a row; `None` when every row was
+    /// filled at build time. Boxed so `&Distances` holds no interior
+    /// mutability inline: the compiler then knows a fill cannot change
+    /// `rows`, and keeps its pointer in a register across the scorer.
+    lazy: Option<Box<LazyFill<T>>>,
 }
 
+/// The graph and weights a row sweep needs, plus the bytes of rows
+/// stored so far against [`ROW_BUDGET_BYTES`].
 #[derive(Debug)]
-enum Store<T: DistanceValue> {
-    /// Row-major `n × n`; `T::UNREACHABLE` marks unreachable pairs.
-    Dense(Vec<T>),
-    /// Boxed so `&Distances` holds no interior mutability inline: the
-    /// compiler then knows a sparse row fetch cannot change the variant,
-    /// and keeps the scorer's running sums in registers across it.
-    Sparse(Box<SparseRows<T>>),
-}
-
-/// The on-demand engine: the graph and weights a row sweep needs, plus
-/// an LRU of the rows computed so far. `O(N + E)` resident. Public only
-/// so [`DistanceValue::cached_row`] can name it; not exported.
-#[derive(Debug)]
-pub struct SparseRows<T: DistanceValue> {
+struct LazyFill<T: DistanceValue> {
     graph: CouplingGraph,
     weights: T::Weights,
-    cache: Mutex<RowCache<T>>,
-}
-
-impl<T: DistanceValue> SparseRows<T> {
-    fn new(graph: CouplingGraph, weights: T::Weights) -> Box<Self> {
-        Box::new(SparseRows {
-            graph,
-            weights,
-            cache: Mutex::new(RowCache::new()),
-        })
-    }
-
-    fn fetch(&self, a: Qubit) -> Arc<[T]> {
-        let mut cache = self.cache.lock().expect("row cache poisoned");
-        cache.fetch(a.0, || T::row(&self.graph, &self.weights, a))
-    }
+    /// Only a count, accessed `Relaxed`: each row's `OnceLock` publishes
+    /// the row itself.
+    stored_bytes: AtomicUsize,
 }
 
 impl<T: DistanceValue> Distances<T> {
-    /// The one constructor behind every production path: the dense fill
-    /// (`N` row sweeps) or the empty sparse engine, chosen by `backend`.
+    /// The one constructor behind every production path: the eager fill
+    /// (`N` row sweeps) or an empty table filled on first touch, chosen
+    /// by `backend`.
     fn build(graph: &CouplingGraph, weights: T::Weights, backend: DistanceBackend) -> Self {
         let n = graph.num_qubits() as usize;
-        let store = if backend.prefers_sparse(graph.num_qubits()) {
-            Store::Sparse(SparseRows::new(graph.clone(), weights))
-        } else {
-            let mut data = Vec::with_capacity(n * n);
-            for q in 0..n {
-                data.extend_from_slice(&T::row(graph, &weights, Qubit(q as u32)));
-            }
-            Store::Dense(data)
-        };
-        Distances { n, store }
+        if !backend.prefers_sparse(graph.num_qubits()) {
+            return Self::eager(
+                n,
+                (0..n).map(|q| T::row(graph, &weights, Qubit(q as u32)).into_boxed_slice()),
+            );
+        }
+        Distances {
+            n,
+            rows: (0..n).map(|_| OnceLock::new()).collect(),
+            lazy: Some(Box::new(LazyFill {
+                graph: graph.clone(),
+                weights,
+                stored_bytes: AtomicUsize::new(0),
+            })),
+        }
+    }
+
+    /// A table whose `n` rows are all filled now.
+    fn eager(n: usize, rows: impl Iterator<Item = Box<[T]>>) -> Self {
+        Distances {
+            n,
+            rows: rows.map(OnceLock::from).collect(),
+            lazy: None,
+        }
     }
 
     /// Dense Floyd–Warshall closure over the coupling values `edges`
@@ -403,16 +348,13 @@ impl<T: DistanceValue> Distances<T> {
                 }
             }
         }
-        Distances {
-            n,
-            store: Store::Dense(data),
-        }
+        Self::eager(n, data.chunks(n.max(1)).map(Box::from))
     }
 
-    /// `true` when this matrix answers from the sparse on-demand engine
-    /// (no `O(N²)` allocation exists).
+    /// `true` when rows fill on first touch (no `O(N²)` allocation is
+    /// made up front).
     pub fn is_sparse(&self) -> bool {
-        matches!(self.store, Store::Sparse(_))
+        self.lazy.is_some()
     }
 
     /// Number of qubits the matrix covers.
@@ -421,9 +363,7 @@ impl<T: DistanceValue> Distances<T> {
     }
 
     /// The distance `D[a][b]` (`UNREACHABLE` when no path exists), read
-    /// through [`Distances::row`]. Dense: one indexed load. Sparse: a row
-    /// fetch (`O(1)` amortized on the LRU, one sweep on a miss) plus a
-    /// load.
+    /// through [`Distances::row`].
     ///
     /// # Panics
     ///
@@ -436,66 +376,179 @@ impl<T: DistanceValue> Distances<T> {
     /// Row `D[a][·]` indexed by physical qubit — the hot-path view: the
     /// router's delta scorer resolves every candidate SWAP against one or
     /// two rows, so a row handle turns the inner loop into contiguous
-    /// indexed loads. Dense rows are zero-copy borrows; sparse rows are
-    /// shared handles served from the LRU (`O(1)` amortized, one sweep
-    /// on a cold source).
+    /// indexed loads. A stored row is a lock-free zero-copy borrow; a
+    /// sparse matrix's first touch of a row runs one sweep.
     ///
     /// # Panics
     ///
     /// Panics if `a` is out of range.
     #[inline]
     pub fn row(&self, a: Qubit) -> DistanceRow<'_, T> {
-        let repr = match &self.store {
-            Store::Dense(data) => {
-                RowRepr::Borrowed(&data[a.index() * self.n..(a.index() + 1) * self.n])
-            }
-            Store::Sparse(engine) => RowRepr::Shared(T::cached_row(engine, a)),
-        };
-        DistanceRow { repr }
+        match self.rows[a.index()].get() {
+            Some(row) => DistanceRow {
+                repr: RowRepr::Borrowed(row),
+            },
+            None => self.fill(a, None),
+        }
     }
 
-    /// Rows currently resident in the sparse engine's LRU (always `0` for
-    /// dense backends) — observability for memory-ceiling tests; never
-    /// exceeds [`ROW_CACHE_CAPACITY`].
+    /// [`Distances::row`] for a search that keeps its own copies of the
+    /// rows this matrix computes past [`ROW_BUDGET_BYTES`]: such a row is
+    /// kept in `spill` while it has room, so the search's working set is
+    /// swept once rather than on every touch. Stored rows read exactly as
+    /// through `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is out of range of this matrix or of `spill`.
+    #[inline]
+    pub fn row_with_spill<'a>(&'a self, spill: &'a RowSpill<T>, a: Qubit) -> DistanceRow<'a, T> {
+        match self.rows[a.index()].get() {
+            Some(row) => DistanceRow {
+                repr: RowRepr::Borrowed(row),
+            },
+            None => self.fill(a, Some(spill)),
+        }
+    }
+
+    /// First touch of `a`'s row on a sparse matrix: stores the row if
+    /// the byte budget has room for it, else keeps it in `spill` (if
+    /// given and not full), else computes it owned. Budget is reserved
+    /// before the sweep and given back if another thread stored the row
+    /// first, so each stored row is counted once.
+    #[cold]
+    #[inline(never)]
+    fn fill<'a>(&'a self, a: Qubit, spill: Option<&'a RowSpill<T>>) -> DistanceRow<'a, T> {
+        let lazy = self
+            .lazy
+            .as_deref()
+            .expect("a dense matrix fills every row at build time");
+        let sweep = || T::row(&lazy.graph, &lazy.weights, a).into_boxed_slice();
+        let borrowed = |row| DistanceRow {
+            repr: RowRepr::Borrowed(row),
+        };
+        if let Some(row) = spill.and_then(|spill| spill.rows[a.index()].get()) {
+            return borrowed(row);
+        }
+        let bytes = self.n * size_of::<T>();
+        let reserved =
+            lazy.stored_bytes
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |used| {
+                    used.checked_add(bytes)
+                        .filter(|&total| total <= ROW_BUDGET_BYTES)
+                });
+        if reserved.is_err() {
+            return match spill.and_then(|spill| spill.keep(a, sweep)) {
+                Some(row) => borrowed(row),
+                None => DistanceRow {
+                    repr: RowRepr::Owned(sweep()),
+                },
+            };
+        }
+        let mut filled_here = false;
+        let row = self.rows[a.index()].get_or_init(|| {
+            filled_here = true;
+            sweep()
+        });
+        if !filled_here {
+            lazy.stored_bytes.fetch_sub(bytes, Ordering::Relaxed);
+        }
+        borrowed(row)
+    }
+
+    /// Rows currently stored: `N` for a dense matrix; for a sparse one,
+    /// the rows counted against [`ROW_BUDGET_BYTES`] (exact whenever no
+    /// fill is in flight), so never more than the budget holds.
     pub fn cached_rows(&self) -> usize {
-        match &self.store {
-            Store::Dense(_) => 0,
-            Store::Sparse(engine) => engine.cache.lock().expect("row cache poisoned").rows.len(),
+        match &self.lazy {
+            None => self.n,
+            Some(lazy) => {
+                lazy.stored_bytes.load(Ordering::Relaxed) / (self.n * size_of::<T>()).max(1)
+            }
+        }
+    }
+}
+
+/// Rows a search keeps for itself once a lazily filled matrix has spent
+/// its [`ROW_BUDGET_BYTES`] — the matrix stores the first rows it is
+/// asked for, and on a device too large for the budget the rows a later
+/// search needs are mostly not among them. Read through
+/// [`Distances::row_with_spill`].
+///
+/// A spill holds at most [`SPILL_ROWS`] rows; rows past that are
+/// computed owned. The search calls [`RowSpill::clear_if_full`] before
+/// each step (when no row is borrowed), so a search that drifts across
+/// the device refills the spill with its current working set.
+/// Single-threaded (`!Sync`), and freed with its search.
+#[derive(Clone, Debug)]
+pub struct RowSpill<T> {
+    /// One slot per physical qubit.
+    rows: Box<[OnceCell<Box<[T]>>]>,
+    /// Slots set, at most [`SPILL_ROWS`].
+    kept: Cell<usize>,
+}
+
+/// Rows a [`RowSpill`] holds: the capacity of the shared row cache this
+/// design replaced, now per running search. A search step reads the rows
+/// of the front-layer qubits and their neighbours (about 160 for a
+/// 32-qubit circuit on a grid, about a thousand for a 200-qubit one). At
+/// 4096 qubits a full spill is 32 MiB of `f64` rows.
+pub const SPILL_ROWS: usize = 1024;
+
+impl<T> RowSpill<T> {
+    /// An empty spill for a device of `num_qubits` qubits.
+    pub fn new(num_qubits: usize) -> Self {
+        RowSpill {
+            rows: (0..num_qubits).map(|_| OnceCell::new()).collect(),
+            kept: Cell::new(0),
+        }
+    }
+
+    /// Keeps the row `sweep` computes for `a`, unless the spill is full.
+    fn keep(&self, a: Qubit, sweep: impl FnOnce() -> Box<[T]>) -> Option<&[T]> {
+        let kept = self.kept.get();
+        if kept >= SPILL_ROWS {
+            return None;
+        }
+        self.kept.set(kept + 1);
+        Some(self.rows[a.index()].get_or_init(sweep))
+    }
+
+    /// Drops every kept row if the spill is full.
+    pub fn clear_if_full(&mut self) {
+        if self.kept.get() >= SPILL_ROWS {
+            self.rows.iter_mut().for_each(|slot| drop(slot.take()));
+            self.kept.set(0);
         }
     }
 }
 
 impl<T: DistanceValue> Clone for Distances<T> {
-    /// Cloning a sparse matrix clones the graph and weights and starts an
-    /// empty row cache — cache state is pure acceleration, so the clone
-    /// observes identical values from the first query.
+    /// Cloning a sparse matrix clones the graph and weights and starts
+    /// with no rows stored — stored rows are pure acceleration, so the
+    /// clone observes identical values from the first query.
     fn clone(&self) -> Self {
-        let store = match &self.store {
-            Store::Dense(data) => Store::Dense(data.clone()),
-            Store::Sparse(engine) => Store::Sparse(SparseRows::new(
-                engine.graph.clone(),
-                engine.weights.clone(),
-            )),
-        };
-        Distances { n: self.n, store }
+        match &self.lazy {
+            None => Distances {
+                n: self.n,
+                rows: self.rows.clone(),
+                lazy: None,
+            },
+            Some(lazy) => Self::build(&lazy.graph, lazy.weights.clone(), DistanceBackend::Sparse),
+        }
     }
 }
 
 impl<T: DistanceValue> PartialEq for Distances<T> {
     /// Semantic equality: same size and same distance for every pair,
-    /// regardless of backend. Comparing a sparse matrix materializes its
-    /// rows (`O(N·E)`) — intended for tests, not hot paths.
+    /// regardless of backend. Comparing a sparse matrix fills its rows
+    /// (`O(N·E)`) — intended for tests, not hot paths.
     fn eq(&self, other: &Self) -> bool {
-        if self.n != other.n {
-            return false;
-        }
-        match (&self.store, &other.store) {
-            (Store::Dense(a), Store::Dense(b)) => a == b,
-            _ => (0..self.n).all(|q| {
+        self.n == other.n
+            && (0..self.n).all(|q| {
                 let q = Qubit(q as u32);
                 *self.row(q) == *other.row(q)
-            }),
-        }
+            })
     }
 }
 
@@ -539,10 +592,10 @@ impl DistanceMatrix {
         Self::with_backend(graph, DistanceBackend::Dense)
     }
 
-    /// The sparse on-demand engine: no matrix, rows BFS-computed per
-    /// source and LRU-cached. `O(N + E)` resident plus at most
-    /// [`ROW_CACHE_CAPACITY`] cached rows; `O(E)` per row miss, `O(1)`
-    /// per hit. Values are bit-identical to [`DistanceMatrix::bfs`].
+    /// The lazily filled matrix: each row is BFS-computed on first touch
+    /// and stored within [`ROW_BUDGET_BYTES`]. `O(N + E)` resident plus
+    /// the stored rows; `O(E)` per fill, a lock-free load per stored
+    /// row. Values are bit-identical to [`DistanceMatrix::bfs`].
     pub fn sparse(graph: &CouplingGraph) -> Self {
         Self::with_backend(graph, DistanceBackend::Sparse)
     }
@@ -567,18 +620,21 @@ impl DistanceMatrix {
     }
 
     /// Whether every pair is reachable. Dense: one `O(N²)` scan. Sparse:
-    /// a single BFS connectivity check, `O(N + E)` — no rows are
-    /// materialized or cached.
+    /// a single BFS connectivity check, `O(N + E)` — no rows are filled.
     pub fn all_finite(&self) -> bool {
-        match &self.store {
-            Store::Dense(data) => !data.contains(&Self::UNREACHABLE),
-            Store::Sparse(engine) => engine.graph.is_connected(),
+        match &self.lazy {
+            None => self
+                .rows
+                .iter()
+                .flat_map(OnceLock::get)
+                .all(|row| !row.contains(&Self::UNREACHABLE)),
+            Some(lazy) => lazy.graph.is_connected(),
         }
     }
 
     /// Largest finite distance (the diameter when connected). Dense: one
     /// `O(N²)` scan. Sparse: streams one BFS per source (`O(N·E)` time,
-    /// `O(N)` memory) without touching the row cache.
+    /// `O(N)` memory) without filling any row.
     pub fn max_finite(&self) -> u32 {
         let finite_max = |row: &[u32]| {
             row.iter()
@@ -587,13 +643,18 @@ impl DistanceMatrix {
                 .max()
                 .unwrap_or(0)
         };
-        match &self.store {
-            Store::Dense(data) => finite_max(data),
-            Store::Sparse(engine) => (0..self.n)
-                .map(|q| finite_max(&engine.graph.bfs_distances(Qubit(q as u32))))
-                .max()
-                .unwrap_or(0),
-        }
+        let max = match &self.lazy {
+            None => self
+                .rows
+                .iter()
+                .flat_map(OnceLock::get)
+                .map(|row| finite_max(row))
+                .max(),
+            Some(lazy) => (0..self.n)
+                .map(|q| finite_max(&lazy.graph.bfs_distances(Qubit(q as u32))))
+                .max(),
+        };
+        max.unwrap_or(0)
     }
 }
 
@@ -639,10 +700,10 @@ impl WeightedDistanceMatrix {
         Self::with_backend(graph, weight, DistanceBackend::Dense)
     }
 
-    /// The sparse on-demand engine: per-edge weights packed by edge id,
-    /// Dijkstra rows computed per source and LRU-cached. `O(N + E)`
-    /// resident plus at most [`ROW_CACHE_CAPACITY`] cached rows;
-    /// `O(E + N log N)` per row miss, `O(1)` per hit.
+    /// The lazily filled matrix: per-edge weights packed by edge id,
+    /// each Dijkstra row computed on first touch and stored within
+    /// [`ROW_BUDGET_BYTES`]. `O(N + E)` resident plus the stored rows;
+    /// `O(E + N log N)` per fill, a lock-free load per stored row.
     ///
     /// # Panics
     ///
@@ -715,6 +776,21 @@ mod tests {
         CouplingGraph::from_edges(4, [(0, 1), (1, 3), (3, 2), (2, 0)]).unwrap()
     }
 
+    /// A 4-ring and a 3-ring joined at qubit 3 and 4.
+    fn two_rings() -> CouplingGraph {
+        let edges = [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 0),
+            (3, 4),
+            (4, 5),
+            (5, 6),
+            (6, 4),
+        ];
+        CouplingGraph::from_edges(7, edges).unwrap()
+    }
+
     #[test]
     fn identity_diagonal() {
         let d = DistanceMatrix::floyd_warshall(&square());
@@ -768,39 +844,13 @@ mod tests {
 
     #[test]
     fn floyd_warshall_matches_bfs() {
-        let g = CouplingGraph::from_edges(
-            7,
-            [
-                (0, 1),
-                (1, 2),
-                (2, 3),
-                (3, 0),
-                (3, 4),
-                (4, 5),
-                (5, 6),
-                (6, 4),
-            ],
-        )
-        .unwrap();
+        let g = two_rings();
         assert_eq!(DistanceMatrix::floyd_warshall(&g), DistanceMatrix::bfs(&g));
     }
 
     #[test]
     fn sparse_matches_dense_semantically() {
-        let g = CouplingGraph::from_edges(
-            7,
-            [
-                (0, 1),
-                (1, 2),
-                (2, 3),
-                (3, 0),
-                (3, 4),
-                (4, 5),
-                (5, 6),
-                (6, 4),
-            ],
-        )
-        .unwrap();
+        let g = two_rings();
         let dense = DistanceMatrix::bfs(&g);
         let sparse = DistanceMatrix::sparse(&g);
         assert!(sparse.is_sparse());
@@ -830,52 +880,146 @@ mod tests {
         assert!(WeightedDistanceMatrix::auto(&big, |_, _| 1.0).is_sparse());
     }
 
-    /// A line of `n` qubits, long enough to overflow the row cache.
+    /// A line of `n` qubits.
     fn long_line(n: u32) -> CouplingGraph {
         CouplingGraph::from_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap()
     }
 
+    /// Uneven weights, so a bitwise comparison of `f64` rows means more
+    /// than comparing integer hop counts.
+    fn uneven(a: Qubit, b: Qubit) -> f64 {
+        0.1 + 0.017 * f64::from((a.0 * 7 + b.0) % 13)
+    }
+
+    /// A lazily filled matrix stores rows only while [`ROW_BUDGET_BYTES`]
+    /// lasts: rows below the budget's row count are stored and borrowed,
+    /// the rest are owned, and re-touching an over-budget row stores
+    /// nothing.
     #[test]
     fn sparse_row_cache_is_bounded() {
-        fn check<T: DistanceValue>(d: Distances<T>, n: u32, far: T) {
-            for q in 0..n {
-                let _ = d.get(Qubit(q), Qubit(0));
+        fn check<T: DistanceValue>(d: Distances<T>) {
+            let n = d.num_qubits();
+            let cap = ROW_BUDGET_BYTES / (n * size_of::<T>());
+            assert!(cap < n, "the matrix must pass the budget");
+            for q in (0..n as u32).map(Qubit) {
+                let row = d.row(q);
+                assert_eq!(matches!(row.repr, RowRepr::Owned(_)), q.index() >= cap);
+                assert!(d.cached_rows() <= cap);
             }
-            assert_eq!(d.cached_rows(), ROW_CACHE_CAPACITY);
-            // Eviction never changes values: re-query the very first source.
-            assert_eq!(d.get(Qubit(0), Qubit(n - 1)), far);
+            assert_eq!(d.cached_rows(), cap);
+            let _ = d.row(Qubit(n as u32 - 1));
+            assert_eq!(d.cached_rows(), cap);
         }
-        let n = (ROW_CACHE_CAPACITY + 200) as u32;
-        let g = long_line(n);
-        check(DistanceMatrix::sparse(&g), n, n - 1);
-        check(
-            WeightedDistanceMatrix::sparse(&g, |_, _| 1.0),
-            n,
-            f64::from(n - 1),
+        // `3000² · 4 B` and `3000² · 8 B` both exceed the 32 MiB budget.
+        let g = long_line(3000);
+        check(DistanceMatrix::sparse(&g));
+        check(WeightedDistanceMatrix::sparse(&g, uneven));
+    }
+
+    /// Nothing is evicted: past the budget a row is computed owned, so a
+    /// handle to a stored row and handles to over-budget rows can be held
+    /// at once, and every one reads bit-identical to the BFS / Dijkstra
+    /// row.
+    #[test]
+    fn row_guards_coexist_across_eviction() {
+        fn check<T: DistanceValue + Into<f64>>(d: Distances<T>, sweep: impl Fn(Qubit) -> Vec<T>) {
+            let n = d.num_qubits();
+            let cap = ROW_BUDGET_BYTES / (n * size_of::<T>());
+            assert!(cap < n, "the matrix must pass the budget");
+            let bits = |row: &[T]| row.iter().map(|&x| x.into().to_bits()).collect::<Vec<_>>();
+            let first = d.row(Qubit(0));
+            assert!(matches!(first.repr, RowRepr::Borrowed(_)));
+            // Touch every row so the budget runs out; hold a sample of
+            // stored and over-budget rows alongside `first`.
+            let sampled =
+                |q: usize| q.is_multiple_of(97) || (cap - 1..=cap + 1).contains(&q) || q == n - 1;
+            let held: Vec<_> = (1..n as u32)
+                .map(Qubit)
+                .map(|q| (q, d.row(q)))
+                .filter(|(q, _)| sampled(q.index()))
+                .collect();
+            assert_eq!(d.cached_rows(), cap);
+            assert_eq!(bits(&first), bits(&sweep(Qubit(0))));
+            for (q, row) in &held {
+                assert_eq!(matches!(row.repr, RowRepr::Owned(_)), q.index() >= cap);
+                assert_eq!(bits(row), bits(&sweep(*q)), "row {q:?}");
+            }
+        }
+        let g = long_line(3000);
+        check(DistanceMatrix::sparse(&g), |q| g.bfs_distances(q));
+        let weights: Arc<[f64]> = pack_edge_weights(&g, uneven).into();
+        check(WeightedDistanceMatrix::sparse(&g, uneven), |q| {
+            dijkstra_row(&g, &weights, q)
+        });
+    }
+
+    /// Past the budget, a search's spill keeps the rows it reads (up to
+    /// [`SPILL_ROWS`], bit-identical to the Dijkstra row) without touching
+    /// the matrix's budget; a full spill hands rows out owned until it is
+    /// cleared.
+    #[test]
+    fn spill_keeps_over_budget_rows_for_one_search() {
+        let g = long_line(3000);
+        let d = WeightedDistanceMatrix::sparse(&g, uneven);
+        let n = d.num_qubits();
+        let cap = ROW_BUDGET_BYTES / (n * size_of::<f64>());
+        assert!(n - cap > SPILL_ROWS, "the spill must fill up");
+        let weights: Arc<[f64]> = pack_edge_weights(&g, uneven).into();
+        let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut spill = RowSpill::new(n);
+        let read = |spill: &RowSpill<f64>, q: usize| {
+            let row = d.row_with_spill(spill, Qubit(q as u32));
+            assert_eq!(
+                bits(&row),
+                bits(&dijkstra_row(&g, &weights, Qubit(q as u32)))
+            );
+            matches!(row.repr, RowRepr::Borrowed(_))
+        };
+        // Within the budget rows are stored by the matrix, not the spill.
+        assert!((0..cap).all(|q| read(&spill, q)));
+        assert_eq!((d.cached_rows(), spill.kept.get()), (cap, 0));
+        // Past it the spill keeps rows until it is full...
+        assert!((cap..cap + SPILL_ROWS).all(|q| read(&spill, q)));
+        assert!(read(&spill, cap), "a kept row is read again from the spill");
+        assert!(
+            !read(&spill, cap + SPILL_ROWS),
+            "a full spill hands rows out owned"
         );
+        assert_eq!((d.cached_rows(), spill.kept.get()), (cap, SPILL_ROWS));
+        // ...and drops them all once full, between steps.
+        spill.clear_if_full();
+        assert_eq!(spill.kept.get(), 0);
+        assert!(read(&spill, cap + 1));
+        spill.clear_if_full();
+        assert_eq!(spill.kept.get(), 1, "a spill with room keeps its rows");
     }
 
     #[test]
-    fn row_guards_coexist_across_eviction() {
-        fn check<T: DistanceValue>(d: Distances<T>, n: u32, far: T) {
-            let first = d.row(Qubit(0));
-            // Touch enough sources to evict qubit 0's row from the LRU.
-            for q in 1..n {
-                let _ = d.row(Qubit(q));
-            }
-            // The held guard still reads the evicted row's (correct) data.
-            assert_eq!(first[(n - 1) as usize], far);
-            let again = d.row(Qubit(0));
-            assert_eq!(*first, *again);
-        }
-        let n = (ROW_CACHE_CAPACITY + 8) as u32;
-        let g = long_line(n);
-        check(DistanceMatrix::sparse(&g), n, n - 1);
-        check(
-            WeightedDistanceMatrix::sparse(&g, |_, _| 1.0),
-            n,
-            f64::from(n - 1),
+    fn concurrent_first_touch_fills_each_row_once() {
+        const THREADS: usize = 8;
+        let g = crate::devices::grid(33, 33).graph().clone();
+        let (lazy, eager) = (
+            WeightedDistanceMatrix::sparse(&g, uneven),
+            WeightedDistanceMatrix::dijkstra(&g, uneven),
         );
+        let n = g.num_qubits();
+        let start = std::sync::Barrier::new(THREADS);
+        let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        std::thread::scope(|scope| {
+            for t in 0..THREADS as u32 {
+                let (lazy, eager, start, bits) = (&lazy, &eager, &start, &bits);
+                scope.spawn(move || {
+                    start.wait();
+                    // Every thread walks the same cold rows; half walk them
+                    // backwards so the races meet in both orders.
+                    for q in (0..n).map(|q| Qubit(if t % 2 == 0 { q } else { n - 1 - q })) {
+                        assert_eq!(bits(&lazy.row(q)), bits(&eager.row(q)), "row {q:?}");
+                    }
+                });
+            }
+        });
+        // Every row is stored, and none is counted against the budget twice.
+        assert_eq!(lazy.cached_rows(), n as usize);
     }
 
     #[test]
@@ -941,40 +1085,22 @@ mod tests {
         // Triangle 0-1-2 where the direct edge (0,2) costs 10 but the
         // two-hop path through 1 costs 2.
         let g = CouplingGraph::from_edges(3, [(0, 1), (1, 2), (0, 2)]).unwrap();
-        let w = WeightedDistanceMatrix::floyd_warshall(&g, |a, b| {
+        let weight = |a: Qubit, b: Qubit| {
             if (a, b) == (Qubit(0), Qubit(2)) {
                 10.0
             } else {
                 1.0
             }
-        });
+        };
+        let w = WeightedDistanceMatrix::floyd_warshall(&g, weight);
         assert_eq!(w.get(Qubit(0), Qubit(2)), 2.0);
-        let s = WeightedDistanceMatrix::sparse(&g, |a, b| {
-            if (a, b) == (Qubit(0), Qubit(2)) {
-                10.0
-            } else {
-                1.0
-            }
-        });
+        let s = WeightedDistanceMatrix::sparse(&g, weight);
         assert_eq!(s.get(Qubit(0), Qubit(2)), 2.0);
     }
 
     #[test]
     fn dijkstra_matches_floyd_warshall_bitwise_on_integer_weights() {
-        let g = CouplingGraph::from_edges(
-            7,
-            [
-                (0, 1),
-                (1, 2),
-                (2, 3),
-                (3, 0),
-                (3, 4),
-                (4, 5),
-                (5, 6),
-                (6, 4),
-            ],
-        )
-        .unwrap();
+        let g = two_rings();
         // Integer-valued weights: every path sum is exact in f64, so all
         // three algorithms must agree bit-for-bit.
         let weight = |a: Qubit, b: Qubit| f64::from(a.0 + b.0 + 1);
@@ -989,7 +1115,7 @@ mod tests {
     fn sparse_and_dense_dijkstra_are_bitwise_identical_on_noisy_weights() {
         let g = square();
         // Irrational-ish weights where summation order matters: the
-        // sparse engine and the dense dijkstra constructor share one row
+        // lazy and the eager dijkstra constructors share one row
         // algorithm, so they must still agree bitwise.
         let weight = |a: Qubit, b: Qubit| 0.1 + 0.017 * f64::from(a.0 * 7 + b.0);
         let dense = WeightedDistanceMatrix::dijkstra(&g, weight);
@@ -1034,10 +1160,14 @@ mod tests {
         let g = square();
         let s = DistanceMatrix::sparse(&g);
         let _ = s.get(Qubit(0), Qubit(3)); // warm one row
+        assert_eq!(s.cached_rows(), 1);
         let c = s.clone();
         assert!(c.is_sparse());
         assert_eq!(c.cached_rows(), 0, "clone starts cold");
         assert_eq!(s, c);
+        let d = DistanceMatrix::bfs(&g);
+        assert_eq!(d.cached_rows(), 4, "every dense row is stored");
+        assert_eq!(d.clone().cached_rows(), 4);
         let w = WeightedDistanceMatrix::sparse(&g, |_, _| 2.5);
         let wc = w.clone();
         assert_eq!(w, wc);

@@ -11,10 +11,12 @@
 //!   step of §IV-A, two instantiations of one row store
 //!   ([`Distances`]); `D[i][j]` is the minimum number of SWAPs (or the
 //!   cheapest noise-weighted SWAP cost) required to move a logical qubit
-//!   from physical qubit `Q_i` to `Q_j`. Small devices store the dense
-//!   all-pairs matrix; kilo-qubit devices answer from an on-demand
-//!   sparse row engine (BFS/Dijkstra rows behind an LRU) — same values,
-//!   flat memory. [`DENSE_DISTANCE_THRESHOLD`] is the crossover.
+//!   from physical qubit `Q_i` to `Q_j`. Small devices fill every
+//!   BFS/Dijkstra row at build time; kilo-qubit devices fill each row on
+//!   first touch and store rows within a byte budget
+//!   ([`ROW_BUDGET_BYTES`]) — same values, bounded memory, lock-free
+//!   reads; a search keeps the rows past the budget it needs in its own
+//!   [`RowSpill`]. [`DENSE_DISTANCE_THRESHOLD`] is the crossover.
 //! - [`devices`]: a zoo of concrete device models — the IBM Q20 Tokyo graph
 //!   of Figure 2 with its published error rates, older IBM chips, and
 //!   parametric generators (linear, ring, grid, star, complete, heavy-hex).
@@ -47,8 +49,8 @@ pub mod noise;
 
 pub use csr::CsrAdjacency;
 pub use distance::{
-    DistanceBackend, DistanceMatrix, DistanceRow, Distances, WeightedDistanceMatrix,
-    DENSE_DISTANCE_THRESHOLD, ROW_CACHE_CAPACITY,
+    DistanceBackend, DistanceMatrix, DistanceRow, Distances, RowSpill, WeightedDistanceMatrix,
+    DENSE_DISTANCE_THRESHOLD, ROW_BUDGET_BYTES, SPILL_ROWS,
 };
 pub use graph::{CouplingGraph, TopologyError};
 

@@ -2,11 +2,13 @@
 //!
 //! Devices past [`sabre_topology::DENSE_DISTANCE_THRESHOLD`] qubits skip
 //! the dense all-pairs matrix entirely — preprocessing keeps only the
-//! CSR graph and a bounded LRU of BFS/Dijkstra rows. This example routes
-//! a deep circuit on a 1089-qubit grid (33×33) and then preprocesses a
-//! 10 000-qubit grid, printing the resident row counts so you can see
-//! memory stay flat. CI runs it under a hard address-space ceiling
-//! (`ulimit -v`), and it asserts that both matrices are sparse.
+//! CSR graph, and BFS/Dijkstra rows are filled on first touch and stored
+//! within a fixed byte budget ([`sabre_topology::ROW_BUDGET_BYTES`]).
+//! This example routes a deep circuit on a 1089-qubit grid (33×33) and
+//! then preprocesses a 10 000-qubit grid, printing the resident row
+//! counts so you can see memory stay bounded. CI runs it under a hard
+//! address-space ceiling (`ulimit -v`), and it asserts that both
+//! matrices are sparse and that residency stays within the budget.
 //!
 //! ```text
 //! cargo run --release --example kilo_qubit
@@ -16,7 +18,7 @@ use std::time::Instant;
 
 use sabre::{SabreConfig, SabreRouter};
 use sabre_benchgen::random;
-use sabre_topology::{devices, WeightedDistanceMatrix, ROW_CACHE_CAPACITY};
+use sabre_topology::{devices, WeightedDistanceMatrix, ROW_BUDGET_BYTES};
 use sabre_verify::verify_routed;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -56,8 +58,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("verified: every two-qubit gate lands on a coupled pair");
 
     // 100×100 grid: 10 000 qubits. Dense preprocessing would allocate
-    // 10⁸ entries per matrix; the sparse engine holds O(N + E) plus a
-    // bounded row cache, so construction is instant and memory is flat.
+    // 10⁸ entries per matrix; the sparse engine holds O(N + E) plus the
+    // rows its byte budget stores, so construction is instant and memory
+    // is bounded.
     let huge = devices::grid(100, 100).graph().clone();
     let start = Instant::now();
     let dist = WeightedDistanceMatrix::auto(&huge, |_, _| 1.0);
@@ -70,15 +73,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The address-space ceiling alone would not catch a dense fill here:
     // 10⁸ f64s are ~760 MiB, under CI's 1 GiB.
     assert!(dist.is_sparse());
-    // Touch more rows than the cache holds: residency stays at the cap.
+    // Touch more rows than the budget stores: residency stops at the cap.
     for q in (0..huge.num_qubits()).step_by(7) {
         let _ = dist.row(sabre_topology::Qubit(q));
     }
+    let row_cap = ROW_BUDGET_BYTES / (huge.num_qubits() as usize * size_of::<f64>());
     println!(
-        "after {} row loads: {} rows resident (cap {})",
+        "after {} row loads: {} rows resident (budget cap {row_cap})",
         huge.num_qubits() / 7 + 1,
         dist.cached_rows(),
-        ROW_CACHE_CAPACITY,
     );
+    assert!(dist.cached_rows() <= row_cap);
     Ok(())
 }

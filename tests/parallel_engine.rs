@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use sabre::{transpile_batch, SabreConfig, SabreResult, SabreRouter, TranspileOptions};
 use sabre_benchgen::{qft, random};
 use sabre_circuit::Circuit;
-use sabre_topology::devices;
+use sabre_topology::{devices, DistanceBackend, Qubit, ROW_BUDGET_BYTES};
 use sabre_verify::{verify_routed, verify_semantics_small};
 
 /// The deterministic fields of two results must agree exactly; `elapsed`
@@ -110,6 +110,82 @@ fn transpile_batch_outputs_are_semantically_faithful() {
         )
         .unwrap_or_else(|e| panic!("circuit {i} not equivalent: {e}"));
     }
+}
+
+/// Above the dense threshold distance rows fill on first touch, so
+/// restarts running at once race to fill the same cold rows of one shared
+/// matrix. Whatever the interleaving, parallel routes on a cold router
+/// match sequential routes on another, and each row is stored once.
+#[test]
+fn cold_lazy_rows_parallel_routes_match_sequential() {
+    let graph = devices::grid(33, 33).graph().clone();
+    let fresh = || SabreRouter::new(graph.clone(), SabreConfig::paper()).unwrap();
+    let (sequential, parallel, batched) = (fresh(), fresh(), fresh());
+    assert!(parallel.distance_matrix().is_sparse());
+    assert_eq!(parallel.distance_matrix().cached_rows(), 0);
+    let circuits: Vec<Circuit> = (0..4)
+        .map(|i| random::random_circuit(24, 80, 0.8, 500 + i))
+        .collect();
+    let expected: Vec<SabreResult> = circuits
+        .iter()
+        .map(|c| sequential.route(c).unwrap())
+        .collect();
+    for (i, (circuit, want)) in circuits.iter().zip(&expected).enumerate() {
+        let got = parallel.route_parallel(circuit).unwrap();
+        assert_same_result(&format!("route_parallel {i}"), want, &got);
+    }
+    // Whole circuits fanned across the pool race on a third cold matrix.
+    for (i, (got, want)) in batched
+        .route_batch(&circuits)
+        .iter()
+        .zip(&expected)
+        .enumerate()
+    {
+        assert_same_result(&format!("route_batch {i}"), want, got.as_ref().unwrap());
+    }
+    for router in [&sequential, &parallel, &batched] {
+        let rows = router.distance_matrix().cached_rows();
+        assert!(
+            rows > 0 && rows <= graph.num_qubits() as usize,
+            "{rows} rows"
+        );
+    }
+}
+
+/// On a device whose rows do not all fit the byte budget, the rows past
+/// it are kept per restart instead of shared. Routing on such a matrix —
+/// budget spent before the first route, restarts in parallel — matches
+/// routing on the dense matrix.
+#[test]
+fn cold_lazy_rows_past_the_budget_match_dense_routing() {
+    // 2116 qubits: 2116² · 8 B is past the 32 MiB budget by 134 rows.
+    let graph = devices::grid(46, 46).graph().clone();
+    let n = graph.num_qubits();
+    let config = SabreConfig {
+        num_restarts: 3,
+        ..SabreConfig::fast()
+    };
+    let lazy = SabreRouter::new(graph.clone(), config).unwrap();
+    let dense = SabreRouter::with_distance_backend(graph, config, DistanceBackend::Dense).unwrap();
+    // Spend the budget on every row but the first grid rows' qubits, so
+    // routing near them reads rows the matrix does not store.
+    let stored = ROW_BUDGET_BYTES / (n as usize * size_of::<f64>());
+    for q in (0..n).rev() {
+        let _ = lazy.distance_matrix().row(Qubit(q));
+    }
+    assert_eq!(lazy.distance_matrix().cached_rows(), stored);
+    // Circuits on the first logical qubits start near the unstored rows
+    // often enough: the initial layout is random over the whole device.
+    let circuits: Vec<Circuit> = (0..3)
+        .map(|i| random::random_circuit(40, 60, 0.9, 900 + i))
+        .collect();
+    for (i, circuit) in circuits.iter().enumerate() {
+        let want = dense.route(circuit).unwrap();
+        assert_same_result(&format!("route {i}"), &want, &lazy.route(circuit).unwrap());
+        let got = lazy.route_parallel(circuit).unwrap();
+        assert_same_result(&format!("route_parallel {i}"), &want, &got);
+    }
+    assert_eq!(lazy.distance_matrix().cached_rows(), stored);
 }
 
 proptest! {

@@ -2,9 +2,13 @@
 //! analysis depends on (paper §IV-A preprocessing and §IV-C1 per-step
 //! costs).
 
+use std::f64::consts::PI;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sabre_benchgen::qft;
-use sabre_circuit::DependencyDag;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use sabre_benchgen::{qft, random};
+use sabre_circuit::{Circuit, DependencyDag, Qubit};
 use sabre_qasm::{parse, to_qasm};
 use sabre_sim::StateVector;
 use sabre_topology::{devices, DistanceMatrix};
@@ -53,6 +57,23 @@ fn bench_simulator(c: &mut Criterion) {
     group.finish();
 }
 
+/// The variational ansatz that plan-cache hits carry: per layer, `rz` with
+/// a full-precision angle on each of 16 qubits, then a CX ladder (8
+/// layers, 248 gates, about 5.6 KB of text).
+fn vqa_ansatz() -> Circuit {
+    let mut rng = StdRng::seed_from_u64(2019);
+    let mut c = Circuit::new(16);
+    for _ in 0..8 {
+        for q in 0..16 {
+            c.rz(Qubit(q), rng.gen_range(-PI..PI));
+        }
+        for q in 0..15 {
+            c.cx(Qubit(q), Qubit(q + 1));
+        }
+    }
+    c
+}
+
 fn bench_qasm_round_trip(c: &mut Criterion) {
     let circuit = qft::qft(16);
     let text = to_qasm(&circuit);
@@ -61,6 +82,16 @@ fn bench_qasm_round_trip(c: &mut Criterion) {
     group.bench_function("parse_qft16", |b| {
         b.iter(|| parse(&text).unwrap().num_gates())
     });
+    // Bodies shaped like served traffic: number lexing dominates both.
+    for (label, circuit) in [
+        ("vqa_ansatz16", vqa_ansatz()),
+        ("random16_4000", random::random_circuit(16, 4000, 0.9, 2019)),
+    ] {
+        let text = to_qasm(&circuit);
+        group.bench_function(format!("parse_{label}"), |b| {
+            b.iter(|| parse(&text).unwrap().num_gates())
+        });
+    }
     group.finish();
 }
 

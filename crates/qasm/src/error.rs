@@ -4,8 +4,15 @@ use std::fmt;
 /// Error produced while lexing or parsing OpenQASM source.
 ///
 /// Carries the 1-based source line and column where the problem was found.
+#[derive(Clone, PartialEq, Eq)]
+pub struct QasmError(
+    // Boxed so that the parser's `Result`s stay one pointer wide on the
+    // success path, which is every token of a valid program.
+    Box<Located>,
+);
+
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct QasmError {
+struct Located {
     line: u32,
     column: u32,
     message: String,
@@ -13,32 +20,42 @@ pub struct QasmError {
 
 impl QasmError {
     pub(crate) fn new(line: u32, column: u32, message: impl Into<String>) -> Self {
-        QasmError {
+        QasmError(Box::new(Located {
             line,
             column,
             message: message.into(),
-        }
+        }))
     }
 
     /// 1-based line of the offending token.
     pub fn line(&self) -> u32 {
-        self.line
+        self.0.line
     }
 
     /// 1-based column of the offending token.
     pub fn column(&self) -> u32 {
-        self.column
+        self.0.column
     }
 
     /// Human-readable description of the problem.
     pub fn message(&self) -> &str {
-        &self.message
+        &self.0.message
+    }
+}
+
+impl fmt::Debug for QasmError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("QasmError")
+            .field("line", &self.0.line)
+            .field("column", &self.0.column)
+            .field("message", &self.0.message)
+            .finish()
     }
 }
 
 impl fmt::Display for QasmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}: {}", self.line, self.column, self.message)
+        write!(f, "{}:{}: {}", self.line(), self.column(), self.message())
     }
 }
 
@@ -55,6 +72,16 @@ mod tests {
         assert_eq!(e.line(), 3);
         assert_eq!(e.column(), 14);
         assert_eq!(e.message(), "unexpected token `]`");
+    }
+
+    #[test]
+    fn debug_lists_position_and_message() {
+        let e = QasmError::new(2, 5, "bad");
+        assert_eq!(
+            format!("{e:?}"),
+            "QasmError { line: 2, column: 5, message: \"bad\" }"
+        );
+        assert_eq!(std::mem::size_of::<Result<f64, QasmError>>(), 16);
     }
 
     #[test]

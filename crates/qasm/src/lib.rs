@@ -19,6 +19,15 @@
 //! - `barrier` and `measure` statements are skipped (counted in
 //!   [`ParsedProgram`]): mapping operates on the unitary part of a circuit.
 //!
+//! Parsing is one pass that allocates only the circuit and the register
+//! table: tokens borrow from the source and are scanned on demand. Input bounds, each failing as a [`QasmError`] at the statement
+//! that crosses it:
+//!
+//! - a parameter expression nests at most 128 parentheses and unary signs;
+//! - quantum registers total at most `u32::MAX` wires;
+//! - [`parse_with_gate_budget`] caps the gates a program may expand to,
+//!   register broadcast included; [`parse`] has no such cap.
+//!
 //! # Example
 //!
 //! ```
@@ -49,5 +58,5 @@ mod writer;
 
 pub use corpus::{load_dir, CorpusError};
 pub use error::QasmError;
-pub use parser::{parse, parse_program, ParsedProgram};
+pub use parser::{parse, parse_program, parse_with_gate_budget, ParsedProgram};
 pub use writer::to_qasm;

@@ -1,9 +1,9 @@
 use std::collections::HashMap;
 use std::f64::consts::{FRAC_PI_2, PI};
 
-use sabre_circuit::{Circuit, Gate, OneQubitKind, Params, Qubit, TwoQubitKind};
+use sabre_circuit::{Circuit, CircuitError, Gate, OneQubitKind, Params, Qubit, TwoQubitKind};
 
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::{Lexer, Token, TokenKind};
 use crate::QasmError;
 
 /// Maximum nesting of parentheses and unary signs in one parameter
@@ -36,7 +36,24 @@ pub struct ParsedProgram {
 /// errors, unknown gates, and references to undeclared registers or
 /// out-of-range indices.
 pub fn parse(source: &str) -> Result<Circuit, QasmError> {
-    parse_program(source).map(|p| p.circuit)
+    parse_with_gate_budget(source, usize::MAX)
+}
+
+/// Parses like [`parse`], but fails as soon as the program would expand
+/// to more than `max_gates` gates.
+///
+/// Register broadcast makes the gate count independent of the source
+/// size: the 36 bytes `qreg q[3000000]; h q;` expand to three million
+/// gates. This entry point counts gates as they are emitted and fails at
+/// the statement that crosses the budget, before building its gates, so
+/// a service can bound the work one request buys.
+///
+/// # Errors
+///
+/// Same conditions as [`parse`], plus a [`QasmError`] at the first
+/// statement whose gates would exceed `max_gates`.
+pub fn parse_with_gate_budget(source: &str, max_gates: usize) -> Result<Circuit, QasmError> {
+    Parser::run(source, max_gates).map(|p| p.circuit)
 }
 
 /// Parses OpenQASM 2.0 source, also reporting skipped non-unitary
@@ -46,34 +63,28 @@ pub fn parse(source: &str) -> Result<Circuit, QasmError> {
 ///
 /// Same conditions as [`parse`].
 pub fn parse_program(source: &str) -> Result<ParsedProgram, QasmError> {
-    let tokens = lex(source)?;
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        qregs: HashMap::new(),
-        qreg_order: Vec::new(),
-        cregs: HashMap::new(),
-        num_qubits: 0,
-        gates: Vec::new(),
-        skipped_barriers: 0,
-        skipped_measurements: 0,
-    };
-    parser.program()?;
-    let mut circuit = Circuit::new(parser.num_qubits);
-    for gate in parser.gates {
-        circuit
-            .try_push(gate)
-            .map_err(|e| QasmError::new(0, 0, e.to_string()))?;
-    }
+    let parser = Parser::run(source, usize::MAX)?;
     Ok(ParsedProgram {
-        circuit,
-        quantum_registers: parser.qreg_order,
+        quantum_registers: parser
+            .registers
+            .iter()
+            .map(|r| (r.name.to_string(), r.size))
+            .collect(),
+        circuit: parser.circuit,
         skipped_barriers: parser.skipped_barriers,
         skipped_measurements: parser.skipped_measurements,
     })
 }
 
-/// A gate argument: either one wire or a whole register.
+/// A declared quantum register: its wires are `offset..offset + size`.
+struct Register<'a> {
+    name: &'a str,
+    offset: u32,
+    size: u32,
+}
+
+/// A gate argument: one wire, or a whole register that the gate is
+/// broadcast over.
 #[derive(Clone, Copy, Debug)]
 enum Arg {
     Single(Qubit),
@@ -81,55 +92,100 @@ enum Arg {
     Register(u32, u32),
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-    /// name → (offset, size)
-    qregs: HashMap<String, (u32, u32)>,
-    qreg_order: Vec<(String, u32)>,
-    /// name → size (contents unused; declared for completeness)
-    cregs: HashMap<String, u32>,
-    num_qubits: u32,
-    gates: Vec<Gate>,
+impl Arg {
+    /// The wire this argument supplies to the `i`-th broadcast gate.
+    fn wire(self, i: u32) -> Qubit {
+        match self {
+            Arg::Single(q) => q,
+            Arg::Register(offset, _) => Qubit(offset + i),
+        }
+    }
+
+    /// How many gates the argument broadcasts to, if it is a register.
+    fn width(self) -> Option<u32> {
+        match self {
+            Arg::Single(_) => None,
+            Arg::Register(_, size) => Some(size),
+        }
+    }
+}
+
+/// Single-pass recursive-descent parser over an on-demand [`Lexer`] with
+/// one token of lookahead. Gates go straight into the [`Circuit`].
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The lookahead token.
+    tok: Token<'a>,
+    /// Quantum registers in declaration order.
+    registers: Vec<Register<'a>>,
+    /// Name → index into `registers`.
+    register_index: HashMap<&'a str, usize>,
+    /// Index of the register named last: bodies name one register over
+    /// and over, and this skips the hash.
+    last_register: usize,
+    circuit: Circuit,
+    max_gates: usize,
     skipped_barriers: usize,
     skipped_measurements: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
+impl<'a> Parser<'a> {
+    fn run(source: &'a str, max_gates: usize) -> Result<Self, QasmError> {
+        let mut lexer = Lexer::new(source);
+        let tok = lexer.next_token()?;
+        let mut parser = Parser {
+            lexer,
+            tok,
+            registers: Vec::new(),
+            register_index: HashMap::new(),
+            last_register: 0,
+            circuit: Circuit::new(0),
+            max_gates,
+            skipped_barriers: 0,
+            skipped_measurements: 0,
+        };
+        match parser.program() {
+            Ok(()) => Ok(parser),
+            // A lexical error anywhere in the source is reported ahead of
+            // a syntax error before it.
+            Err(e) => Err(parser.lexer.first_error_in_rest().unwrap_or(e)),
+        }
     }
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        t
+    /// Consumes the lookahead token and lexes the next one.
+    #[inline]
+    fn advance(&mut self) -> Result<(), QasmError> {
+        self.tok = self.lexer.next_token()?;
+        Ok(())
+    }
+
+    fn error_at(tok: Token<'_>, message: impl Into<String>) -> QasmError {
+        QasmError::new(tok.line, tok.column, message)
     }
 
     fn error_here(&self, message: impl Into<String>) -> QasmError {
-        let t = self.peek();
-        QasmError::new(t.line, t.column, message)
+        Self::error_at(self.tok, message)
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<Token, QasmError> {
-        if &self.peek().kind == kind {
-            Ok(self.advance())
+    #[inline]
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<(), QasmError> {
+        if self.tok.kind == kind {
+            self.advance()
         } else {
             Err(self.error_here(format!(
                 "expected {}, found {}",
                 kind.describe(),
-                self.peek().kind.describe()
+                self.tok.kind.describe()
             )))
         }
     }
 
-    fn expect_ident(&mut self) -> Result<(String, Token), QasmError> {
-        match self.peek().kind.clone() {
+    #[inline]
+    fn expect_ident(&mut self) -> Result<&'a str, QasmError> {
+        match self.tok.kind {
             TokenKind::Ident(name) => {
-                let tok = self.advance();
-                Ok((name, tok))
+                self.advance()?;
+                Ok(name)
             }
             other => {
                 Err(self.error_here(format!("expected identifier, found {}", other.describe())))
@@ -137,86 +193,83 @@ impl Parser {
         }
     }
 
+    /// An index or register size: an integer literal, or a real one with
+    /// an integral value (`q[1.0]`).
     fn expect_uint(&mut self) -> Result<u32, QasmError> {
-        match self.peek().kind {
-            TokenKind::Number(v) if v >= 0.0 && v.fract() == 0.0 && v <= u32::MAX as f64 => {
-                self.advance();
-                Ok(v as u32)
+        let value = match self.tok.kind {
+            TokenKind::Int(v) => u32::try_from(v).ok(),
+            TokenKind::Real(v) if v >= 0.0 && v.fract() == 0.0 && v <= u32::MAX as f64 => {
+                Some(v as u32)
             }
-            _ => Err(self.error_here("expected a non-negative integer")),
+            _ => None,
+        };
+        match value {
+            Some(v) => {
+                self.advance()?;
+                Ok(v)
+            }
+            None => Err(self.error_here("expected a non-negative integer")),
         }
     }
 
-    // Float literal patterns are forbidden, so the version check keeps
-    // its (clippy-"redundant") guard.
-    #[allow(clippy::redundant_guards)]
+    /// `[` uint `]` `;` — the tail of a `qreg` or `creg` declaration.
+    fn register_size(&mut self) -> Result<u32, QasmError> {
+        self.expect(TokenKind::LBracket)?;
+        let size = self.expect_uint()?;
+        self.expect(TokenKind::RBracket)?;
+        self.expect(TokenKind::Semicolon)?;
+        Ok(size)
+    }
+
     fn program(&mut self) -> Result<(), QasmError> {
         // Header: OPENQASM 2.0;
-        self.expect(&TokenKind::OpenQasm)?;
-        match self.peek().kind {
-            TokenKind::Number(v) if v == 2.0 => {
-                self.advance();
-            }
-            _ => return Err(self.error_here("only OPENQASM 2.0 is supported")),
+        self.expect(TokenKind::OpenQasm)?;
+        let version_2 = match self.tok.kind {
+            TokenKind::Int(v) => v == 2,
+            TokenKind::Real(v) => v == 2.0,
+            _ => false,
+        };
+        if !version_2 {
+            return Err(self.error_here("only OPENQASM 2.0 is supported"));
         }
-        self.expect(&TokenKind::Semicolon)?;
+        self.advance()?;
+        self.expect(TokenKind::Semicolon)?;
 
-        while self.peek().kind != TokenKind::Eof {
+        while self.tok.kind != TokenKind::Eof {
             self.statement()?;
         }
         Ok(())
     }
 
     fn statement(&mut self) -> Result<(), QasmError> {
-        let (name, tok) = match self.peek().kind.clone() {
-            TokenKind::Ident(name) => {
-                let tok = self.advance();
-                (name, tok)
-            }
-            other => {
-                return Err(
-                    self.error_here(format!("expected a statement, found {}", other.describe()))
-                )
-            }
+        let tok = self.tok;
+        let TokenKind::Ident(name) = tok.kind else {
+            return Err(self.error_here(format!(
+                "expected a statement, found {}",
+                tok.kind.describe()
+            )));
         };
-        match name.as_str() {
+        self.advance()?;
+        match name {
             "include" => {
                 // include "<file>"; — the only include benchmarks use is
                 // qelib1.inc, whose gates are built in; contents ignored.
-                match self.peek().kind.clone() {
-                    TokenKind::Str(_) => {
-                        self.advance();
-                    }
-                    _ => return Err(self.error_here("expected file name string after `include`")),
+                if !matches!(self.tok.kind, TokenKind::Str(_)) {
+                    return Err(self.error_here("expected file name string after `include`"));
                 }
-                self.expect(&TokenKind::Semicolon)?;
-                Ok(())
+                self.advance()?;
+                self.expect(TokenKind::Semicolon)
             }
             "qreg" => {
-                let (reg, _) = self.expect_ident()?;
-                self.expect(&TokenKind::LBracket)?;
-                let size = self.expect_uint()?;
-                self.expect(&TokenKind::RBracket)?;
-                self.expect(&TokenKind::Semicolon)?;
-                if self.qregs.contains_key(&reg) {
-                    return Err(QasmError::new(
-                        tok.line,
-                        tok.column,
-                        format!("quantum register `{reg}` already declared"),
-                    ));
-                }
-                self.qregs.insert(reg.clone(), (self.num_qubits, size));
-                self.qreg_order.push((reg, size));
-                self.num_qubits += size;
-                Ok(())
+                let reg = self.expect_ident()?;
+                let size = self.register_size()?;
+                self.declare(reg, size, tok)
             }
             "creg" => {
-                let (reg, _) = self.expect_ident()?;
-                self.expect(&TokenKind::LBracket)?;
-                let size = self.expect_uint()?;
-                self.expect(&TokenKind::RBracket)?;
-                self.expect(&TokenKind::Semicolon)?;
-                self.cregs.insert(reg, size);
+                // Classical registers only feed `measure`, which is
+                // skipped, so nothing about them is kept.
+                self.expect_ident()?;
+                self.register_size()?;
                 Ok(())
             }
             "barrier" => {
@@ -231,168 +284,221 @@ impl Parser {
                 self.skipped_measurements += 1;
                 Ok(())
             }
-            "gate" | "opaque" => Err(QasmError::new(
-                tok.line,
-                tok.column,
+            "gate" | "opaque" => Err(Self::error_at(
+                tok,
                 "custom gate definitions are not supported; inline the body",
             )),
-            "if" | "reset" => Err(QasmError::new(
-                tok.line,
-                tok.column,
+            "if" | "reset" => Err(Self::error_at(
+                tok,
                 format!("`{name}` statements are not supported"),
             )),
-            _ => self.gate_application(&name, &tok),
+            _ => self.gate_application(name, tok),
         }
     }
 
-    fn skip_to_semicolon(&mut self) -> Result<(), QasmError> {
-        while self.peek().kind != TokenKind::Semicolon {
-            if self.peek().kind == TokenKind::Eof {
-                return Err(self.error_here("unexpected end of input; missing `;`"));
-            }
-            self.advance();
+    /// Appends a quantum register's wires after those declared so far.
+    fn declare(&mut self, name: &'a str, size: u32, tok: Token<'_>) -> Result<(), QasmError> {
+        if self.register_index.contains_key(name) {
+            return Err(Self::error_at(
+                tok,
+                format!("quantum register `{name}` already declared"),
+            ));
         }
-        self.advance(); // consume `;`
+        let offset = self.circuit.num_qubits();
+        let num_qubits = offset.checked_add(size).ok_or_else(|| {
+            Self::error_at(
+                tok,
+                format!("quantum registers exceed {} qubits in total", u32::MAX),
+            )
+        })?;
+        self.register_index.insert(name, self.registers.len());
+        self.registers.push(Register { name, offset, size });
+        // Registers are normally declared before any gate, so this is a
+        // fresh empty circuit; a late `qreg` widens the gates so far.
+        self.circuit = match self.circuit.is_empty() {
+            true => Circuit::new(num_qubits),
+            false => self.circuit.remapped(num_qubits, |q| q),
+        };
         Ok(())
     }
 
-    fn gate_application(&mut self, name: &str, tok: &Token) -> Result<(), QasmError> {
-        let spec = GateSpec::lookup(name).ok_or_else(|| {
-            QasmError::new(tok.line, tok.column, format!("unknown gate `{name}`"))
-        })?;
+    fn skip_to_semicolon(&mut self) -> Result<(), QasmError> {
+        while self.tok.kind != TokenKind::Semicolon {
+            if self.tok.kind == TokenKind::Eof {
+                return Err(self.error_here("unexpected end of input; missing `;`"));
+            }
+            self.advance()?;
+        }
+        self.advance()?; // consume `;`
+        Ok(())
+    }
 
-        // Optional parameter list.
-        let mut params: Vec<f64> = Vec::new();
-        if self.peek().kind == TokenKind::LParen {
-            self.advance();
-            if self.peek().kind != TokenKind::RParen {
-                loop {
-                    params.push(self.expression(0)?);
-                    if self.peek().kind == TokenKind::Comma {
-                        self.advance();
-                    } else {
-                        break;
+    fn gate_application(&mut self, name: &str, tok: Token<'_>) -> Result<(), QasmError> {
+        let spec = GateSpec::lookup(name)
+            .ok_or_else(|| Self::error_at(tok, format!("unknown gate `{name}`")))?;
+
+        // Optional parameter list. No gate takes more than three, so
+        // surplus values are counted for the error but not kept.
+        let mut params = [0.0; 3];
+        let mut num_params = 0;
+        if self.tok.kind == TokenKind::LParen {
+            if let Some(angle) = self.lexer.lone_angle() {
+                // `(angle)` in one scan; the lookahead moves past the `)`.
+                params[0] = angle;
+                num_params = 1;
+                self.advance()?;
+            } else {
+                self.advance()?;
+                if self.tok.kind != TokenKind::RParen {
+                    loop {
+                        let value = self.expression(0)?;
+                        if let Some(slot) = params.get_mut(num_params) {
+                            *slot = value;
+                        }
+                        num_params += 1;
+                        if self.tok.kind != TokenKind::Comma {
+                            break;
+                        }
+                        self.advance()?;
                     }
                 }
+                self.expect(TokenKind::RParen)?;
             }
-            self.expect(&TokenKind::RParen)?;
         }
-        if params.len() != spec.num_params {
-            return Err(QasmError::new(
-                tok.line,
-                tok.column,
+        if num_params != spec.num_params {
+            return Err(Self::error_at(
+                tok,
                 format!(
-                    "gate `{name}` expects {} parameter(s), got {}",
-                    spec.num_params,
-                    params.len()
+                    "gate `{name}` expects {} parameter(s), got {num_params}",
+                    spec.num_params
                 ),
             ));
         }
 
-        // Argument list.
-        let mut args: Vec<Arg> = Vec::new();
+        // Argument list: likewise at most two are kept, but every one is
+        // resolved, so an undeclared surplus register is still reported.
+        let mut args = [Arg::Single(Qubit(0)); 2];
+        let mut num_args = 0;
         loop {
-            args.push(self.argument()?);
-            if self.peek().kind == TokenKind::Comma {
-                self.advance();
-            } else {
+            let arg = self.argument()?;
+            if let Some(slot) = args.get_mut(num_args) {
+                *slot = arg;
+            }
+            num_args += 1;
+            if self.tok.kind != TokenKind::Comma {
                 break;
             }
+            self.advance()?;
         }
-        self.expect(&TokenKind::Semicolon)?;
-        if args.len() != spec.num_qubits {
-            return Err(QasmError::new(
-                tok.line,
-                tok.column,
+        self.expect(TokenKind::Semicolon)?;
+        if num_args != spec.num_qubits {
+            return Err(Self::error_at(
+                tok,
                 format!(
-                    "gate `{name}` expects {} qubit argument(s), got {}",
-                    spec.num_qubits,
-                    args.len()
+                    "gate `{name}` expects {} qubit argument(s), got {num_args}",
+                    spec.num_qubits
                 ),
             ));
         }
 
-        self.emit(&spec, &params, &args, tok)
+        self.emit(&spec, &params[..num_params], &args[..num_args], tok)
     }
 
     fn argument(&mut self) -> Result<Arg, QasmError> {
-        let (reg, tok) = self.expect_ident()?;
-        let &(offset, size) = self.qregs.get(&reg).ok_or_else(|| {
-            QasmError::new(
-                tok.line,
-                tok.column,
-                format!("undeclared quantum register `{reg}`"),
-            )
-        })?;
-        if self.peek().kind == TokenKind::LBracket {
-            self.advance();
-            let index = self.expect_uint()?;
-            self.expect(&TokenKind::RBracket)?;
-            if index >= size {
-                return Err(QasmError::new(
-                    tok.line,
-                    tok.column,
-                    format!("index {index} out of range for `{reg}[{size}]`"),
-                ));
+        let tok = self.tok;
+        let TokenKind::Ident(reg) = tok.kind else {
+            return Err(self.error_here(format!(
+                "expected identifier, found {}",
+                tok.kind.describe()
+            )));
+        };
+        let (offset, size) = self
+            .register(reg)
+            .ok_or_else(|| Self::error_at(tok, format!("undeclared quantum register `{reg}`")))?;
+        let index = match self.lexer.index_suffix() {
+            Some(index) => {
+                self.advance()?;
+                index
             }
-            Ok(Arg::Single(Qubit(offset + index)))
-        } else {
-            Ok(Arg::Register(offset, size))
+            None => {
+                self.advance()?;
+                if self.tok.kind != TokenKind::LBracket {
+                    return Ok(Arg::Register(offset, size));
+                }
+                self.advance()?;
+                let index = self.expect_uint()?;
+                self.expect(TokenKind::RBracket)?;
+                index
+            }
+        };
+        if index >= size {
+            return Err(Self::error_at(
+                tok,
+                format!("index {index} out of range for `{reg}[{size}]`"),
+            ));
         }
+        Ok(Arg::Single(Qubit(offset + index)))
     }
 
+    /// `(offset, size)` of the register called `name`.
+    fn register(&mut self, name: &str) -> Option<(u32, u32)> {
+        let hit = match self.registers.get(self.last_register) {
+            Some(r) if r.name == name => self.last_register,
+            _ => *self.register_index.get(name)?,
+        };
+        self.last_register = hit;
+        let r = &self.registers[hit];
+        Some((r.offset, r.size))
+    }
+
+    /// Pushes the statement's gates: one, or one per wire of the
+    /// broadcast register(s), checked against the gate budget first.
     fn emit(
         &mut self,
         spec: &GateSpec,
         params: &[f64],
         args: &[Arg],
-        tok: &Token,
+        tok: Token<'_>,
     ) -> Result<(), QasmError> {
-        match (spec.num_qubits, args) {
-            (1, [arg]) => {
-                let wires: Vec<Qubit> = match *arg {
-                    Arg::Single(q) => vec![q],
-                    Arg::Register(offset, size) => (offset..offset + size).map(Qubit).collect(),
-                };
-                for q in wires {
-                    self.gates.push(spec.build_one(q, params));
+        let count = match *args {
+            [a] => a.width().unwrap_or(1),
+            [a, b] => match (a.width(), b.width()) {
+                (Some(sa), Some(sb)) if sa != sb => {
+                    return Err(Self::error_at(
+                        tok,
+                        format!("register size mismatch in broadcast: {sa} vs {sb}"),
+                    ));
                 }
-                Ok(())
-            }
-            (2, [a, b]) => {
-                let pairs: Vec<(Qubit, Qubit)> = match (*a, *b) {
-                    (Arg::Single(qa), Arg::Single(qb)) => vec![(qa, qb)],
-                    (Arg::Register(oa, sa), Arg::Register(ob, sb)) => {
-                        if sa != sb {
-                            return Err(QasmError::new(
-                                tok.line,
-                                tok.column,
-                                format!("register size mismatch in broadcast: {sa} vs {sb}"),
-                            ));
-                        }
-                        (0..sa).map(|i| (Qubit(oa + i), Qubit(ob + i))).collect()
-                    }
-                    (Arg::Single(qa), Arg::Register(ob, sb)) => {
-                        (0..sb).map(|i| (qa, Qubit(ob + i))).collect()
-                    }
-                    (Arg::Register(oa, sa), Arg::Single(qb)) => {
-                        (0..sa).map(|i| (Qubit(oa + i), qb)).collect()
-                    }
-                };
-                for (qa, qb) in pairs {
-                    if qa == qb {
-                        return Err(QasmError::new(
-                            tok.line,
-                            tok.column,
-                            "two-qubit gate applied to the same wire twice",
-                        ));
-                    }
-                    self.gates.push(spec.build_two(qa, qb, params));
-                }
-                Ok(())
-            }
+                (Some(n), _) | (None, Some(n)) => n,
+                (None, None) => 1,
+            },
             _ => unreachable!("gate arity validated before emit"),
+        };
+        let room = self.max_gates - self.circuit.num_gates();
+        if count as usize > room {
+            return Err(Self::error_at(
+                tok,
+                format!("circuit exceeds {} gates", self.max_gates),
+            ));
         }
+        for i in 0..count {
+            let gate = match *args {
+                [a] => spec.build_one(a.wire(i), params),
+                [a, b] => spec.build_two(a.wire(i), b.wire(i), params),
+                _ => unreachable!("gate arity validated before emit"),
+            };
+            // `try_push` is the one validity check a gate gets.
+            self.circuit.try_push(gate).map_err(|e| {
+                let message = match e {
+                    CircuitError::DuplicateOperands { .. } => {
+                        "two-qubit gate applied to the same wire twice".to_string()
+                    }
+                    other => other.to_string(),
+                };
+                Self::error_at(tok, message)
+            })?;
+        }
+        Ok(())
     }
 
     /// expr := term (('+'|'-') term)*
@@ -402,13 +508,13 @@ impl Parser {
     fn expression(&mut self, depth: usize) -> Result<f64, QasmError> {
         let mut value = self.term(depth)?;
         loop {
-            match self.peek().kind {
+            match self.tok.kind {
                 TokenKind::Plus => {
-                    self.advance();
+                    self.advance()?;
                     value += self.term(depth)?;
                 }
                 TokenKind::Minus => {
-                    self.advance();
+                    self.advance()?;
                     value -= self.term(depth)?;
                 }
                 _ => return Ok(value),
@@ -420,13 +526,13 @@ impl Parser {
     fn term(&mut self, depth: usize) -> Result<f64, QasmError> {
         let mut value = self.factor(depth)?;
         loop {
-            match self.peek().kind {
+            match self.tok.kind {
                 TokenKind::Star => {
-                    self.advance();
+                    self.advance()?;
                     value *= self.factor(depth)?;
                 }
                 TokenKind::Slash => {
-                    self.advance();
+                    self.advance()?;
                     value /= self.factor(depth)?;
                 }
                 _ => return Ok(value),
@@ -436,7 +542,7 @@ impl Parser {
 
     /// factor := ('-'|'+') factor | number | 'pi' | '(' expr ')'
     fn factor(&mut self, depth: usize) -> Result<f64, QasmError> {
-        let kind = self.peek().kind.clone();
+        let kind = self.tok.kind;
         if matches!(kind, TokenKind::Minus | TokenKind::Plus | TokenKind::LParen)
             && depth >= MAX_EXPRESSION_DEPTH
         {
@@ -444,38 +550,36 @@ impl Parser {
                 "parameter expression nested deeper than {MAX_EXPRESSION_DEPTH} levels"
             )));
         }
-        match kind {
+        let value = match kind {
             TokenKind::Minus => {
-                self.advance();
-                Ok(-self.factor(depth + 1)?)
+                self.advance()?;
+                return Ok(-self.factor(depth + 1)?);
             }
             TokenKind::Plus => {
-                self.advance();
-                self.factor(depth + 1)
-            }
-            TokenKind::Number(v) => {
-                self.advance();
-                Ok(v)
-            }
-            TokenKind::Ident(name) if name == "pi" => {
-                self.advance();
-                Ok(PI)
+                self.advance()?;
+                return self.factor(depth + 1);
             }
             TokenKind::LParen => {
-                self.advance();
+                self.advance()?;
                 let v = self.expression(depth + 1)?;
-                self.expect(&TokenKind::RParen)?;
-                Ok(v)
+                self.expect(TokenKind::RParen)?;
+                return Ok(v);
             }
-            other => Err(self.error_here(format!(
-                "expected a parameter expression, found {}",
-                other.describe()
-            ))),
-        }
+            TokenKind::Int(v) => v as f64,
+            TokenKind::Real(v) => v,
+            TokenKind::Ident("pi") => PI,
+            other => {
+                return Err(self.error_here(format!(
+                    "expected a parameter expression, found {}",
+                    other.describe()
+                )))
+            }
+        };
+        self.advance()?;
+        Ok(value)
     }
 }
 
-/// How a QASM mnemonic maps into the IR.
 struct GateSpec {
     num_params: usize,
     num_qubits: usize,
@@ -544,15 +648,22 @@ impl GateSpec {
         }
     }
 
+    /// Builds the gate even when `a == b`, unlike [`Gate::two`], so that
+    /// [`Circuit::try_push`] is what rejects it.
     fn build_two(&self, a: Qubit, b: Qubit, params: &[f64]) -> Gate {
         match &self.kind {
             SpecKind::Two(kind) => {
-                let p = match params.len() {
+                let params = match params.len() {
                     0 => Params::EMPTY,
                     1 => Params::one(params[0]),
                     _ => unreachable!("validated arity"),
                 };
-                Gate::two(*kind, a, b, p)
+                Gate::Two {
+                    kind: *kind,
+                    a,
+                    b,
+                    params,
+                }
             }
             _ => unreachable!("one-qubit spec used as two-qubit"),
         }
@@ -756,5 +867,74 @@ mod tests {
         let c = parse_body(body);
         assert_eq!(c.num_gates(), 24);
         assert_eq!(c.num_two_qubit_gates(), 6);
+    }
+
+    #[test]
+    fn gate_budget_fails_at_the_statement_that_crosses_it() {
+        let src = format!("{HEADER}qreg q[4];\nh q[0];\nx q[1];\ncx q[0], q[1];\n");
+        assert_eq!(parse_with_gate_budget(&src, 3).unwrap().num_gates(), 3);
+        let err = parse_with_gate_budget(&src, 2).unwrap_err();
+        assert_eq!((err.line(), err.column()), (6, 1));
+        assert_eq!(err.message(), "circuit exceeds 2 gates");
+        assert_eq!(parse(&src).unwrap().num_gates(), 3);
+    }
+
+    #[test]
+    fn gate_budget_stops_a_broadcast_before_building_it() {
+        // One short statement that would otherwise build 3,000,000 gates.
+        let src = format!("{HEADER}qreg q[3000000]; h q;\n");
+        let err = parse_with_gate_budget(&src, 1_000_000).unwrap_err();
+        assert_eq!((err.line(), err.column()), (3, 18));
+        assert_eq!(err.message(), "circuit exceeds 1000000 gates");
+        let pairs = format!("{HEADER}qreg a[3];\nqreg b[3];\nh a[0];\ncx a, b;\n");
+        assert_eq!(parse_with_gate_budget(&pairs, 4).unwrap().num_gates(), 4);
+        let err = parse_with_gate_budget(&pairs, 3).unwrap_err();
+        assert_eq!(err.line(), 6);
+    }
+
+    #[test]
+    fn register_widths_are_summed_without_wrapping() {
+        let err = parse(&format!("{HEADER}qreg q[4294967295];\nqreg r[1];\n")).unwrap_err();
+        assert_eq!((err.line(), err.column()), (4, 1));
+        assert!(err.message().contains("exceed 4294967295 qubits"));
+        let c = parse(&format!(
+            "{HEADER}qreg q[4294967294];\nqreg r[1];\nx r[0];\n"
+        ))
+        .unwrap();
+        assert_eq!(c.num_qubits(), u32::MAX);
+        assert_eq!(c.gates()[0].qubits().0, Qubit(u32::MAX - 1));
+    }
+
+    #[test]
+    fn late_register_widens_earlier_gates() {
+        let parsed = parse_program(&format!(
+            "{HEADER}qreg a[2];\ncx a[0], a[1];\nqreg b[1];\nh b[0];\n"
+        ))
+        .unwrap();
+        assert_eq!(parsed.circuit.num_qubits(), 3);
+        assert_eq!(parsed.circuit.gates()[0], Gate::cx(Qubit(0), Qubit(1)));
+        assert_eq!(parsed.circuit.gates()[1].qubits().0, Qubit(2));
+        assert_eq!(
+            parsed.quantum_registers,
+            vec![("a".to_string(), 2), ("b".to_string(), 1)]
+        );
+    }
+
+    #[test]
+    fn fast_and_token_paths_agree() {
+        // Each pair differs only in spacing or literal form, which moves
+        // the index or angle off the one-scan path and onto the tokens.
+        let pairs = [
+            ("rz(0.25) q[1];", "rz( 0.25 ) q [ 1 ];"),
+            ("rz(-0.25) q[1];", "rz(-(0.25)) q[1.0];"),
+            ("rz(-1e-3) q[01];", "rz(- 1e-3) q[1e0];"),
+            ("rz(7) q[1];", "rz(7.0) q[ 1];"),
+            ("cp(-.5) q[0], q[1];", "cp(0 - .5) q[0] , q[1] ;"),
+        ];
+        for (fast, tokens) in pairs {
+            let fast = parse_body(&format!("qreg q[2];\n{fast}\n"));
+            let tokens = parse_body(&format!("qreg q[2];\n{tokens}\n"));
+            assert_eq!(fast, tokens);
+        }
     }
 }

@@ -21,13 +21,16 @@ use sabre_circuit::{Circuit, Gate};
 /// assert_eq!(sabre_qasm::parse(&text).unwrap(), c);
 /// ```
 pub fn to_qasm(circuit: &Circuit) -> String {
-    let mut out = String::new();
-    out.push_str("OPENQASM 2.0;\n");
-    out.push_str("include \"qelib1.inc\";\n");
+    let mut out = String::with_capacity(estimated_len(circuit));
+    out.push_str("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n");
     if !circuit.name().is_empty() {
-        let _ = writeln!(out, "// circuit: {}", circuit.name());
+        out.push_str("// circuit: ");
+        out.push_str(circuit.name());
+        out.push('\n');
     }
-    let _ = writeln!(out, "qreg q[{}];", circuit.num_qubits());
+    out.push_str("qreg q[");
+    push_u32(&mut out, circuit.num_qubits());
+    out.push_str("];\n");
     for gate in circuit {
         match gate {
             Gate::One {
@@ -37,16 +40,50 @@ pub fn to_qasm(circuit: &Circuit) -> String {
             } => {
                 out.push_str(kind.mnemonic());
                 write_params(&mut out, params.as_slice());
-                let _ = writeln!(out, " q[{}];", qubit.0);
+                out.push_str(" q[");
+                push_u32(&mut out, qubit.0);
+                out.push_str("];\n");
             }
             Gate::Two { kind, a, b, params } => {
                 out.push_str(kind.mnemonic());
                 write_params(&mut out, params.as_slice());
-                let _ = writeln!(out, " q[{}], q[{}];", a.0, b.0);
+                out.push_str(" q[");
+                push_u32(&mut out, a.0);
+                out.push_str("], q[");
+                push_u32(&mut out, b.0);
+                out.push_str("];\n");
             }
         }
     }
     out
+}
+
+/// An estimate of the text's length, so the output is usually allocated
+/// once. The fixed parts are bounded from above (a gate is at most a
+/// 4-byte mnemonic plus ` q[…], q[…];\n` around two wire indices); each
+/// angle counts 22 bytes, about a full-precision angle and its separator.
+fn estimated_len(circuit: &Circuit) -> usize {
+    let digits = circuit.num_qubits().checked_ilog10().unwrap_or(0) as usize + 1;
+    let params: usize = circuit.iter().map(|g| g.params().len()).sum();
+    64 + circuit.name().len() + circuit.num_gates() * (15 + 2 * digits) + params * 22
+}
+
+/// Appends `v` in decimal without going through `fmt`.
+fn push_u32(out: &mut String, v: u32) {
+    let mut digits = [0u8; 10];
+    let mut i = digits.len();
+    let mut rest = v;
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    for &d in &digits[i..] {
+        out.push(char::from(d));
+    }
 }
 
 fn write_params(out: &mut String, params: &[f64]) {
@@ -132,6 +169,15 @@ mod tests {
         let text = to_qasm(&c);
         assert!(text.contains("swap q[0], q[1];"));
         assert_eq!(parse(&text).unwrap().num_swaps(), 1);
+    }
+
+    #[test]
+    fn integers_print_in_decimal() {
+        for v in [0, 7, 10, 99, 100, 4_294_967_295] {
+            let mut out = String::new();
+            push_u32(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
     }
 
     #[test]

@@ -72,7 +72,9 @@ pub fn too_many_requests(
 /// stores 1024 `f64` rows (32 MiB), and each running route keeps up to
 /// [`sabre_topology::SPILL_ROWS`] more of its own (32 MiB).
 const MAX_DEVICE_QUBITS: u32 = 4096;
-/// Gate-count cap per submitted circuit (`/route`) or batch slot.
+/// Gate-count cap per submitted circuit (`/route`) or batch slot. QASM is
+/// parsed against it as a budget, so a register broadcast (`h q;` over a
+/// huge `q`) fails before its gates are built.
 const MAX_CIRCUIT_GATES: usize = 1_000_000;
 
 /// The top-level body must be a JSON object.
@@ -110,7 +112,7 @@ pub fn parse_circuit(spec: &JsonValue) -> Result<Circuit, ApiError> {
         let source = qasm
             .as_str()
             .ok_or_else(|| ApiError::bad_request("\"qasm\" must be a string"))?;
-        sabre_qasm::parse(source)
+        sabre_qasm::parse_with_gate_budget(source, MAX_CIRCUIT_GATES)
             .map_err(|e| ApiError::bad_request(format!("invalid OpenQASM: {e}")))?
     } else {
         parse_gate_list(spec)?
@@ -619,6 +621,27 @@ mod tests {
         assert_eq!(c.num_gates(), 4);
         let reparsed = sabre_qasm::parse(&sabre_qasm::to_qasm(&c)).unwrap();
         assert_eq!(reparsed.gates(), c.gates());
+    }
+
+    #[test]
+    fn qasm_register_bombs_fail_inside_the_parse() {
+        for (qasm, needle) in [
+            (
+                "qreg q[3000000]; h q;",
+                "4:18: circuit exceeds 1000000 gates",
+            ),
+            (
+                "qreg q[4294967295]; qreg r[2];",
+                "4:21: quantum registers exceed",
+            ),
+        ] {
+            let spec = JsonValue::object([(
+                "qasm",
+                format!("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n\n{qasm}").into(),
+            )]);
+            let message = parse_circuit(&spec).unwrap_err().message;
+            assert!(message.contains(needle), "{message}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use sabre::{HeuristicKind, Layout, SabreConfig, SabreRouter};
 use sabre_baseline::{greedy, trivial};
 use sabre_benchgen::random;
 use sabre_circuit::{Circuit, Qubit};
-use sabre_qasm::{parse, to_qasm};
+use sabre_qasm::{parse, parse_with_gate_budget, to_qasm};
 use sabre_topology::{devices, CouplingGraph, DistanceMatrix};
 use sabre_verify::{verify_routed, verify_semantics_small};
 
@@ -136,6 +136,33 @@ proptest! {
         let mut parsed = parse(&text).unwrap();
         parsed.set_name(circuit.name());
         prop_assert_eq!(parsed, circuit);
+    }
+
+    /// The QASM front end never panics. Writer output round-trips, and
+    /// each sampled truncation and single-byte mutation of it either
+    /// parses or fails with a `QasmError`. Mutants parse under a gate
+    /// budget, so one that widens a register cannot build a huge circuit.
+    #[test]
+    fn qasm_mutants_parse_or_fail_cleanly(
+        (n, gates, seed) in arb_circuit_params(),
+        picks in proptest::collection::vec(any::<u64>(), 1..24),
+    ) {
+        /// Bytes the grammar gives meaning to, plus a few it does not.
+        const ALPHABET: &[u8] = b"0123456789.eE+-*/()[]{};,\" \n\t/qrxhpcuz_@=>";
+        let circuit = random::random_circuit(n, gates, 0.4, seed);
+        let text = to_qasm(&circuit);
+        let mut parsed = parse(&text).unwrap();
+        parsed.set_name(circuit.name());
+        prop_assert_eq!(parsed, circuit);
+        for pick in picks {
+            // The writer's output is ASCII, so every cut is a char boundary.
+            let at = (pick % text.len() as u64) as usize;
+            let _ = parse_with_gate_budget(&text[..at], 100_000);
+            let mut mutant = text.clone().into_bytes();
+            mutant[at] = ALPHABET[(pick >> 32) as usize % ALPHABET.len()];
+            let mutant = String::from_utf8(mutant).unwrap();
+            let _ = parse_with_gate_budget(&mutant, 100_000);
+        }
     }
 
     /// Reversal is an involution and preserves counts/depth.
@@ -299,6 +326,41 @@ proptest! {
 }
 
 /// Deterministic seeds produce identical routings (full pipeline).
+/// Inputs that once crashed or exhausted the process: each now fails as
+/// a `QasmError`.
+#[test]
+fn qasm_crashers_fail_cleanly() {
+    let header = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
+    let cases = [
+        // Aborted the process with a stack overflow before expressions
+        // were capped at 128 levels.
+        (
+            format!("{header}qreg q[1];\nrz({}pi) q[0];\n", "-".repeat(10_000)),
+            "deeper than 128",
+        ),
+        (
+            format!("{header}qreg q[1];\nrz({}pi) q[0];\n", "(".repeat(10_000)),
+            "deeper than 128",
+        ),
+        // Built 3,000,000 gates (289 MB) before the service's gate cap
+        // could reject the circuit.
+        (
+            format!("{header}qreg q[3000000]; h q;\n"),
+            "circuit exceeds 1000000 gates",
+        ),
+        // Wrapped the qubit count to 1 in release builds and panicked in
+        // debug builds.
+        (
+            format!("{header}qreg q[4294967295];\nqreg r[2];\nx r[0];\n"),
+            "exceed 4294967295 qubits",
+        ),
+    ];
+    for (source, needle) in cases {
+        let err = parse_with_gate_budget(&source, 1_000_000).unwrap_err();
+        assert!(err.message().contains(needle), "{err}");
+    }
+}
+
 #[test]
 fn routing_is_reproducible() {
     let circuit = random::random_circuit(10, 80, 0.7, 99);

@@ -690,6 +690,50 @@ fn deeply_nested_qasm_expression_is_a_400_not_a_crash() {
     handle.shutdown();
 }
 
+/// Register bombs fail inside the QASM parse as a `400`. A broadcast over
+/// a huge register stops at the gate budget before its gates are built
+/// (the 10⁸-wide one would otherwise ask for ~4.8 GB), and register widths
+/// that overflow `u32` fail at the `qreg` instead of wrapping.
+#[test]
+fn qasm_register_bombs_are_400s() {
+    let handle = server(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr();
+    register(addr, "line", "linear:4");
+    for (body, needle) in [
+        (
+            "qreg q[3000000]; h q;",
+            "3:18: circuit exceeds 1000000 gates",
+        ),
+        (
+            "qreg q[100000000]; h q;",
+            "3:20: circuit exceeds 1000000 gates",
+        ),
+        (
+            "qreg q[4294967295];\nqreg r[2];\nx r[0];",
+            "4:1: quantum registers exceed 4294967295 qubits",
+        ),
+    ] {
+        let qasm = format!("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n{body}\n");
+        let (status, response) = post_json(
+            addr,
+            "/route",
+            &JsonValue::object([
+                ("device", "line".into()),
+                ("circuit", JsonValue::object([("qasm", qasm.into())])),
+            ]),
+        );
+        assert_eq!(status, 400, "{response:?}");
+        let error = response.get("error").unwrap().as_str().unwrap();
+        assert!(error.contains(needle), "{error}");
+        let (status, _) = get_json(addr, "/healthz");
+        assert_eq!(status, 200);
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn metrics_expose_per_step_routing_telemetry() {
     let handle = server(ServeConfig {

@@ -70,6 +70,23 @@ impl Circuit {
         self.num_qubits
     }
 
+    /// Adds wires after the existing ones so the register holds
+    /// `num_qubits`, keeping every gate in place. Widening never
+    /// invalidates a gate, so unlike [`Circuit::remapped`] this copies
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_qubits` is below the current width.
+    pub fn widen(&mut self, num_qubits: u32) {
+        assert!(
+            num_qubits >= self.num_qubits,
+            "cannot narrow a {}-qubit circuit to {num_qubits}",
+            self.num_qubits
+        );
+        self.num_qubits = num_qubits;
+    }
+
     /// Total number of gates (`g` in the paper's notation).
     pub fn num_gates(&self) -> usize {
         self.gates.len()
@@ -645,6 +662,22 @@ mod tests {
         assert_eq!(r.num_qubits(), 8);
         assert_eq!(r.two_qubit_pairs()[0], (Qubit(4), Qubit(5)));
         assert_eq!(r.num_gates(), c.num_gates());
+    }
+
+    #[test]
+    fn widen_keeps_gates_and_admits_new_wires() {
+        let mut c = fig3c();
+        let before = c.gates().to_vec();
+        c.widen(9);
+        assert_eq!(c.num_qubits(), 9);
+        assert_eq!(c.gates(), &before[..]);
+        c.cx(Qubit(0), Qubit(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot narrow")]
+    fn widen_refuses_to_narrow() {
+        fig3c().widen(1);
     }
 
     #[test]

@@ -186,28 +186,6 @@ impl<'a> Lexer<'a> {
         Some(index)
     }
 
-    /// Scans `literal)` or `-literal)` right after a `(`: the lone angle
-    /// of `rz(0.25)`, read without the expression evaluator. Returns
-    /// `None` and consumes nothing for any other form, which the token
-    /// path then evaluates (or rejects with its own error).
-    #[inline]
-    pub fn lone_angle(&mut self) -> Option<f64> {
-        let rest = &self.source.as_bytes()[self.pos..];
-        let sign = usize::from(rest.first() == Some(&b'-'));
-        let len = number_len(&rest[sign..]);
-        if len == 0 || rest.get(sign + len) != Some(&b')') {
-            return None;
-        }
-        let text = &self.source[self.pos + sign..self.pos + sign + len];
-        let value = match integer(text) {
-            Some(v) => v as f64,
-            None => text.parse::<f64>().ok()?,
-        };
-        self.pos += sign + len + 1;
-        self.column += (sign + len + 1) as u32;
-        Some(if sign == 1 { -value } else { value })
-    }
-
     /// Lexes the rest of the source and returns its first lexical error.
     /// Lexical errors outrank syntax errors wherever they sit in the
     /// source, so the parser asks this before reporting one of its own.
@@ -441,29 +419,6 @@ mod tests {
             assert_eq!(got, expected, "{src:?}");
             if expected.is_none() {
                 assert_eq!((lexer.pos, lexer.column), (0, 1), "{src:?} consumed");
-            }
-        }
-    }
-
-    #[test]
-    fn lone_angle_reads_one_signed_literal() {
-        for (src, expected) in [
-            ("0.25) q", Some(0.25)),
-            ("-0.25)", Some(-0.25)),
-            ("-.5e1)", Some(-5.0)),
-            ("7)", Some(7.0)),
-            ("1e)", None),
-            ("-)", None),
-            ("--1)", None),
-            ("- 1)", None),
-            ("1 )", None),
-            ("1, 2)", None),
-            ("pi)", None),
-        ] {
-            let mut lexer = Lexer::new(src);
-            assert_eq!(lexer.lone_angle(), expected, "{src:?}");
-            if expected.is_none() {
-                assert_eq!(lexer.pos, 0, "{src:?} consumed");
             }
         }
     }

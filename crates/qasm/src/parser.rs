@@ -313,12 +313,9 @@ impl<'a> Parser<'a> {
         })?;
         self.register_index.insert(name, self.registers.len());
         self.registers.push(Register { name, offset, size });
-        // Registers are normally declared before any gate, so this is a
-        // fresh empty circuit; a late `qreg` widens the gates so far.
-        self.circuit = match self.circuit.is_empty() {
-            true => Circuit::new(num_qubits),
-            false => self.circuit.remapped(num_qubits, |q| q),
-        };
+        // Widening in place keeps a late `qreg` from copying the gates
+        // parsed so far, which would make interleaved `qreg`s quadratic.
+        self.circuit.widen(num_qubits);
         Ok(())
     }
 
@@ -342,28 +339,21 @@ impl<'a> Parser<'a> {
         let mut params = [0.0; 3];
         let mut num_params = 0;
         if self.tok.kind == TokenKind::LParen {
-            if let Some(angle) = self.lexer.lone_angle() {
-                // `(angle)` in one scan; the lookahead moves past the `)`.
-                params[0] = angle;
-                num_params = 1;
-                self.advance()?;
-            } else {
-                self.advance()?;
-                if self.tok.kind != TokenKind::RParen {
-                    loop {
-                        let value = self.expression(0)?;
-                        if let Some(slot) = params.get_mut(num_params) {
-                            *slot = value;
-                        }
-                        num_params += 1;
-                        if self.tok.kind != TokenKind::Comma {
-                            break;
-                        }
-                        self.advance()?;
+            self.advance()?;
+            if self.tok.kind != TokenKind::RParen {
+                loop {
+                    let value = self.expression(0)?;
+                    if let Some(slot) = params.get_mut(num_params) {
+                        *slot = value;
                     }
+                    num_params += 1;
+                    if self.tok.kind != TokenKind::Comma {
+                        break;
+                    }
+                    self.advance()?;
                 }
-                self.expect(TokenKind::RParen)?;
             }
+            self.expect(TokenKind::RParen)?;
         }
         if num_params != spec.num_params {
             return Err(Self::error_at(
@@ -921,9 +911,26 @@ mod tests {
     }
 
     #[test]
+    fn interleaved_late_registers_keep_every_gate() {
+        // Copying the gates parsed so far at each late `qreg` would cost
+        // ~10⁹ gate copies on this body; widening in place costs none.
+        let late = 5_000;
+        let mut body = String::from("qreg q[200000];\nh q;\n");
+        for i in 0..late {
+            body.push_str(&format!("qreg a{i}[1];\nx a{i}[0];\n"));
+        }
+        let parsed = parse_program(&format!("{HEADER}{body}")).unwrap();
+        assert_eq!(parsed.circuit.num_qubits(), 200_000 + late);
+        assert_eq!(parsed.circuit.num_gates(), 200_000 + late as usize);
+        assert_eq!(parsed.quantum_registers.len(), 1 + late as usize);
+        let last = parsed.circuit.gates().last().unwrap();
+        assert_eq!(last.qubits().0, Qubit(200_000 + late - 1));
+    }
+
+    #[test]
     fn fast_and_token_paths_agree() {
         // Each pair differs only in spacing or literal form, which moves
-        // the index or angle off the one-scan path and onto the tokens.
+        // the index off the one-scan path and onto the tokens.
         let pairs = [
             ("rz(0.25) q[1];", "rz( 0.25 ) q [ 1 ];"),
             ("rz(-0.25) q[1];", "rz(-(0.25)) q[1.0];"),

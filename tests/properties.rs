@@ -325,7 +325,6 @@ proptest! {
     }
 }
 
-/// Deterministic seeds produce identical routings (full pipeline).
 /// Inputs that once crashed or exhausted the process: each now fails as
 /// a `QasmError`.
 #[test]
@@ -361,6 +360,7 @@ fn qasm_crashers_fail_cleanly() {
     }
 }
 
+/// Deterministic seeds produce identical routings (full pipeline).
 #[test]
 fn routing_is_reproducible() {
     let circuit = random::random_circuit(10, 80, 0.7, 99);

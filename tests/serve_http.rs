@@ -734,6 +734,39 @@ fn qasm_register_bombs_are_400s() {
     handle.shutdown();
 }
 
+/// Thousands of `qreg`s declared after the gates parse in linear time: a
+/// body under the body limit and the gate budget cannot stall the reactor
+/// with per-`qreg` copies of the circuit, and `/healthz` still answers.
+/// Copying the circuit at each `qreg` would cost ~4·10⁹ gate copies here.
+#[test]
+fn late_qasm_registers_do_not_stall_the_server() {
+    let handle = server(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr();
+    register(addr, "line", "linear:4");
+    let mut qasm = String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[200000];\nh q;\n");
+    for i in 0..20_000 {
+        qasm.push_str(&format!("qreg a{i}[1];\nx a{i}[0];\n"));
+    }
+    let (status, response) = post_json(
+        addr,
+        "/route",
+        &JsonValue::object([
+            ("device", "line".into()),
+            ("circuit", JsonValue::object([("qasm", qasm.into())])),
+        ]),
+    );
+    // The whole body parsed: the circuit is only refused for its width.
+    assert_eq!(status, 422, "{response:?}");
+    let error = response.get("error").unwrap().as_str().unwrap();
+    assert!(error.contains("needs 220000 qubits"), "{error}");
+    let (status, _) = get_json(addr, "/healthz");
+    assert_eq!(status, 200);
+    handle.shutdown();
+}
+
 #[test]
 fn metrics_expose_per_step_routing_telemetry() {
     let handle = server(ServeConfig {
